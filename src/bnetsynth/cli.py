@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 for a positive decision, 1 for a negative one, 2 for
-usage, parse, or validation errors. Decision subcommands never exit 2 on
-well-formed inputs. Diagnostics go to stderr; results go to stdout or to
-the file named by an output flag. All output is deterministic.
+usage, parse, or validation errors and for any other failure inside a
+subcommand, so a crash never reads as a decision. Decision subcommands
+never exit 2 on well-formed inputs they can decide. Diagnostics go to
+stderr; results go to stdout or to the file named by an output flag. All
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -228,6 +230,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault, not a verdict: never exit 0 or 1
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 from . import interactions
 from .interactions import INTERACTION_ORDER, PARTIAL, apply as apply_i
 from .nets import BooleanNet, InvalidNet, build_net, reachability_graph
-from .regions import Region, implicit_form, solves_essp, solves_ssp
+from .regions import Region, solves_essp, solves_ssp
 from .ts import (EsspAtom, SeparationAtom, SspAtom, TransitionSystem,
                  enumerate_atoms, isomorphic, validate_atom)
 
@@ -51,6 +51,11 @@ class EnumerationStats:
     candidates_examined: int = 0
     valid_regions: int = 0
     elapsed: float = 0.0
+
+
+# A region as the search yields it: the support as a bitmask over state
+# indices, the chosen event indices ascending, and their interactions.
+Candidate = tuple[int, tuple[int, ...], tuple[str, ...]]
 
 
 @dataclass
@@ -96,6 +101,7 @@ class _Search:
         self.nop_in_type = "nop" in net_type
         self.d_eff = min(d, self.n_events)
         self.init_idx = self.state_idx[ts.initial]
+        self.all_states = (1 << self.n_states) - 1
         self.itab = {i: (apply_i(i, 0), apply_i(i, 1)) for i in INTERACTION_ORDER}
         self.stats = stats if stats is not None else EnumerationStats()
 
@@ -208,7 +214,16 @@ class _Search:
 
     # -- enumeration --------------------------------------------------------
 
-    def stream(self) -> Iterator[Region]:
+    def region(self, cand: Candidate) -> Region:
+        """The Region a compact candidate stands for."""
+        mask, chosen, sigs = cand
+        support = {s: mask >> i & 1 for i, s in enumerate(self.states)}
+        signature = dict.fromkeys(self.events, "nop")
+        for j, iname in zip(chosen, sigs):
+            signature[self.events[j]] = iname
+        return Region(support=support, signature=signature)
+
+    def stream(self) -> Iterator[Candidate]:
         for count in range(0, self.d_eff + 1):
             if not self.nop_in_type and count < self.n_events:
                 # events outside the subset would need nop
@@ -218,12 +233,12 @@ class _Search:
     def _dispose(self, n_subsets: int, count: int) -> None:
         self.stats.candidates_examined += 2 * n_subsets * self.nn ** count
 
-    def _subset_dfs(self, count: int) -> Iterator[Region]:
+    def _subset_dfs(self, count: int) -> Iterator[Candidate]:
         n = self.n_events
         forced = self.forced_event
         chosen: list[int] = []
 
-        def rec(j: int, slots: int) -> Iterator[Region]:
+        def rec(j: int, slots: int) -> Iterator[Candidate]:
             if slots == 0:
                 if forced is not None and forced not in chosen:
                     self._dispose(1, count)
@@ -259,7 +274,7 @@ class _Search:
 
     # -- per-subset assignment search ---------------------------------------
 
-    def _assignments(self, chosen: list[int]) -> Iterator[Region]:
+    def _assignments(self, chosen: list[int]) -> Iterator[Candidate]:
         count = len(chosen)
         find = self._find
         itab = self.itab
@@ -273,8 +288,7 @@ class _Search:
                 stats.valid_regions += 1
                 if self.atom is not None:
                     continue  # a constant region never solves anything
-                yield Region(support={s: h for s in self.states},
-                             signature={e: "nop" for e in self.events})
+                yield (self.all_states if h else 0, (), ())
             return
 
         qedges: list[list[tuple[int, int]]] = []
@@ -368,16 +382,22 @@ class _Search:
             assert sig_e is not None
             return itab[sig_e][val[h][atom_cls_s]] is None
 
-        def build(h: int) -> Region:
-            vals = val[h]
-            sidx = self.state_idx
-            support = {s: vals[find(sidx[s])] for s in self.states}
-            signature = {e: "nop" for e in self.events}
-            for pos, j in enumerate(chosen):
-                signature[self.events[j]] = sig_assign[pos]  # type: ignore[assignment]
-            return Region(support=support, signature=signature)
+        # class root -> bitmask of its states, filled at the subset's first leaf
+        cls_mask: dict[int, int] = {}
 
-        def rec(p: int) -> Iterator[Region]:
+        def candidate(h: int) -> Candidate:
+            if not cls_mask:
+                for s in range(self.n_states):
+                    r = find(s)
+                    cls_mask[r] = cls_mask.get(r, 0) | 1 << s
+            vals = val[h]
+            mask = 0
+            for r, m in cls_mask.items():
+                if vals[r]:
+                    mask |= m
+            return mask, tuple(chosen), tuple(sig_assign)  # type: ignore[arg-type]
+
+        def rec(p: int) -> Iterator[Candidate]:
             last = p == count - 1
             alive = [h for h in (0, 1) if dead_at[h] is None]
             n_skipped = nn - len(cands[p])
@@ -402,7 +422,7 @@ class _Search:
                             stats.candidates_examined += 1
                             stats.valid_regions += 1
                             if self.atom is None or leaf_solves(h):
-                                yield build(h)
+                                yield candidate(h)
                 elif dead_at[0] is None or dead_at[1] is None:
                     yield from rec(p + 1)
                 for h in alive:
@@ -421,7 +441,8 @@ def enumerate_valid_regions(
     stats: Optional[EnumerationStats] = None,
 ) -> Iterator[Region]:
     """All d-restricted regions of ts in canonical order, lazily."""
-    return _Search(ts, net_type, d, stats=stats).stream()
+    search = _Search(ts, net_type, d, stats=stats)
+    return map(search.region, search.stream())
 
 
 def solve_atom(
@@ -442,7 +463,7 @@ def solve_atom(
     found = next(search.stream(), None)
     if stats is not None:
         stats.elapsed = time.monotonic() - t0
-    return found
+    return None if found is None else search.region(found)
 
 
 def region_solves(region: Region, net_type: frozenset[str],
@@ -450,6 +471,75 @@ def region_solves(region: Region, net_type: frozenset[str],
     if isinstance(atom, SspAtom):
         return solves_ssp(region, atom.s1, atom.s2)
     return solves_essp(region, net_type, atom.event, atom.state)
+
+
+# A row of an _AtomIndex: (the row list, row number, bits of that row)
+_Hit = tuple[list[int], int, int]
+
+
+class _AtomIndex:
+    """Separation atoms as bitmasks over state indices.
+
+    ssp_row[i] holds the states j > i of the atoms ssp:i,j; essp_row[e]
+    holds the states s of the atoms essp:e,s. A candidate solves the row
+    bits on the far side of its support cut (ssp), or on the side where
+    its partial interaction at e is undefined (essp). ssp_live lists the
+    ssp rows that still hold atoms.
+    """
+
+    def __init__(self, ts: TransitionSystem, atoms: list[SeparationAtom]):
+        self.states = ts.states
+        self.events = ts.events
+        sidx = {s: i for i, s in enumerate(ts.states)}
+        eidx = {e: i for i, e in enumerate(ts.events)}
+        self.ssp_row = [0] * len(ts.states)
+        self.essp_row = [0] * len(ts.events)
+        for a in atoms:
+            if isinstance(a, SspAtom):
+                self.ssp_row[sidx[a.s1]] |= 1 << sidx[a.s2]
+            else:
+                self.essp_row[eidx[a.event]] |= 1 << sidx[a.state]
+        self.ssp_live = [i for i, row in enumerate(self.ssp_row) if row]
+
+    def hits(self, cand: Candidate) -> list[_Hit]:
+        """The indexed atoms the candidate solves, row by row in atom order."""
+        mask, chosen, sigs = cand
+        inv = ~mask
+        found: list[_Hit] = []
+        ssp = self.ssp_row
+        for i in self.ssp_live:
+            bits = ssp[i] & (inv if mask >> i & 1 else mask)
+            if bits:
+                found.append((ssp, i, bits))
+        essp = self.essp_row
+        for e, iname in zip(chosen, sigs):
+            row = essp[e]
+            src = _PARTIAL_SRC.get(iname)
+            if row and src is not None:
+                bits = row & (inv if src else mask)
+                if bits:
+                    found.append((essp, e, bits))
+        return found
+
+    def remove(self, hits: list[_Hit]) -> None:
+        """Clear the hit bits from their rows."""
+        for rows, i, bits in hits:
+            rows[i] &= ~bits
+        ssp = self.ssp_row
+        self.ssp_live = [i for i in self.ssp_live if ssp[i]]
+
+    def atoms(self, hit: _Hit) -> Iterator[SeparationAtom]:
+        """The atoms of one row's bits, in atom order."""
+        rows, i, bits = hit
+        states = self.states
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            s = states[low.bit_length() - 1]
+            if rows is self.ssp_row:
+                yield SspAtom(states[i], s)
+            else:
+                yield EsspAtom(self.events[i], s)
 
 
 def solve_drts(
@@ -460,60 +550,63 @@ def solve_drts(
 ) -> SynthesisOutcome:
     """Decide whether a d-restricted admissible set exists, and collect one.
 
-    Atom-major loop over the lazy region stream: each new region is tested
-    against the still-unsolved atoms and kept as the first witness of those
-    it solves. Enumeration stops once every atom is solved, so an
-    unsolvable verdict always reflects a fully drained candidate space.
+    The unsolved atoms are kept as bitmask rows over state indices. Each
+    candidate of the canonical stream is checked against all of them at
+    once, from its support bitmask and its chosen interactions; only a
+    candidate that solves some atom becomes a Region, kept as the witness
+    of every atom it solves first. Enumeration stops once every atom is
+    solved, so an unsolvable verdict always reflects a fully drained
+    candidate space.
     """
     t0 = time.monotonic()
     stats = EnumerationStats()
     atoms = enumerate_atoms(ts)
-    unsolved: dict[SeparationAtom, None] = dict.fromkeys(atoms)
     admissible: list[Region] = []
+    solvers: list[Candidate] = []
     witness: dict[SeparationAtom, int] = {}
-    by_key: dict[tuple, int] = {}
-    if unsolved:
-        for region in _Search(ts, net_type, d, stats=stats).stream():
-            hits = [a for a in unsolved if region_solves(region, net_type, a)]
+    if atoms:
+        search = _Search(ts, net_type, d, stats=stats)
+        index = _AtomIndex(ts, atoms)
+        for cand in search.stream():
+            hits = index.hits(cand)
             if not hits:
                 continue
-            key = implicit_form(region, ts)
-            idx = by_key.get(key)
-            if idx is None:
-                idx = len(admissible)
-                admissible.append(region)
-                by_key[key] = idx
-            for a in hits:
-                witness[a] = idx
-                del unsolved[a]
-            if not unsolved:
+            idx = len(admissible)
+            admissible.append(search.region(cand))
+            solvers.append(cand)
+            for hit in hits:
+                for a in index.atoms(hit):
+                    witness[a] = idx
+            index.remove(hits)
+            if len(witness) == len(atoms):
                 break
     stats.elapsed = time.monotonic() - t0
     outcome = SynthesisOutcome(
-        solvable=not unsolved,
+        solvable=len(witness) == len(atoms),
         admissible_set=admissible,
         witness_map=witness,
-        unsolved_atoms=list(unsolved),
+        unsolved_atoms=[a for a in atoms if a not in witness],
         stats=stats,
     )
     if outcome.solvable and shrink:
-        _greedy_shrink(outcome, atoms, net_type)
+        _greedy_shrink(outcome, _AtomIndex(ts, atoms), atoms, solvers)
     return outcome
 
 
-def _greedy_shrink(outcome: SynthesisOutcome, atoms: list[SeparationAtom],
-                   net_type: frozenset[str]) -> None:
+def _greedy_shrink(outcome: SynthesisOutcome, index: _AtomIndex,
+                   atoms: list[SeparationAtom],
+                   solvers: list[Candidate]) -> None:
     """Re-cover all atoms with a greedily smaller subset of the regions.
 
     Optional cosmetics: coverage stays complete, but the canonical-first
-    witness choice is given up for the selected subset.
+    witness choice is given up for the selected subset. index holds every
+    atom, and solvers the candidates of the admissible regions.
     """
-    covers: list[set[int]] = [
-        {aidx for aidx, a in enumerate(atoms)
-         if region_solves(region, net_type, a)}
-        for region in outcome.admissible_set
+    covers: list[set[SeparationAtom]] = [
+        {a for hit in index.hits(cand) for a in index.atoms(hit)}
+        for cand in solvers
     ]
-    uncovered = set(range(len(atoms)))
+    uncovered = set(atoms)
     picked: list[int] = []
     while uncovered:
         best = max(range(len(covers)),
@@ -523,9 +616,9 @@ def _greedy_shrink(outcome: SynthesisOutcome, atoms: list[SeparationAtom],
     picked.sort()
     remap = {old: new for new, old in enumerate(picked)}
     new_witness: dict[SeparationAtom, int] = {}
-    for aidx, a in enumerate(atoms):
+    for a in atoms:
         for old in picked:
-            if aidx in covers[old]:
+            if a in covers[old]:
                 new_witness[a] = remap[old]
                 break
     outcome.admissible_set = [outcome.admissible_set[r] for r in picked]

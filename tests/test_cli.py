@@ -257,6 +257,20 @@ def test_errors_exit_2(files, capsys):
     assert "missing .initial" in capsys.readouterr().err
 
 
+def test_unexpected_errors_exit_2(files, capsys, monkeypatch):
+    # a fault inside a decision is an error, never a clean no (exit 1)
+    put, _ = files
+    ts = put("a1.ts", A1_TS)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("bnetsynth.cli.solve_atom", boom)
+    assert run("atom", "--ts", ts, "--type", "nop,swap", "--d", "1",
+               "--atom", "ssp:s0,s1") == 2
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
 def test_console_entry_point(files):
     put, _ = files
     hs = put("inst.hs", DEMO_HS)

@@ -371,3 +371,69 @@ def test_random_solvable_runs_roundtrip(ts, net_type, d):
     net = b.synthesize_net(ts, outcome.admissible_set, net_type)
     assert b.verify_lemma1(ts, net)
     assert b.dependency_number(net) <= d
+
+
+def atom_major_drts(ts, net_type, d, shrink):
+    """Reference for solve_drts: every region of the stream is tested
+    against each still-unsolved atom with region_solves, and the optional
+    shrink re-covers the atoms greedily from the same test."""
+    stats = b.EnumerationStats()
+    atoms = b.enumerate_atoms(ts)
+    unsolved = dict.fromkeys(atoms)
+    admissible, witness = [], {}
+    if unsolved:
+        for region in b.enumerate_valid_regions(ts, net_type, d, stats=stats):
+            hits = [a for a in unsolved if b.region_solves(region, net_type, a)]
+            if not hits:
+                continue
+            for a in hits:
+                witness[a] = len(admissible)
+                del unsolved[a]
+            admissible.append(region)
+            if not unsolved:
+                break
+    if shrink and not unsolved:
+        covers = [{a for a in atoms if b.region_solves(r, net_type, a)}
+                  for r in admissible]
+        uncovered, picked = set(atoms), []
+        while uncovered:
+            best = max(range(len(covers)),
+                       key=lambda r: (len(covers[r] & uncovered), -r))
+            picked.append(best)
+            uncovered -= covers[best]
+        picked.sort()
+        remap = {old: new for new, old in enumerate(picked)}
+        witness = {a: remap[next(r for r in picked if a in covers[r])]
+                   for a in atoms}
+        admissible = [admissible[r] for r in picked]
+    return admissible, witness, list(unsolved), stats
+
+
+def assert_matches_atom_major(ts, net_type, d, shrink):
+    outcome = b.solve_drts(ts, net_type, d, shrink=shrink)
+    admissible, witness, unsolved, stats = atom_major_drts(
+        ts, net_type, d, shrink)
+    assert outcome.solvable == (not unsolved)
+    assert [(list(r.support.items()), list(r.signature.items()))
+            for r in outcome.admissible_set] == \
+        [(list(r.support.items()), list(r.signature.items()))
+         for r in admissible]
+    assert list(outcome.witness_map.items()) == list(witness.items())
+    assert outcome.unsolved_atoms == unsolved
+    assert outcome.stats.candidates_examined == stats.candidates_examined
+    assert outcome.stats.valid_regions == stats.valid_regions
+
+
+def test_drts_matches_atom_major_reference(a1, a2, a3):
+    for ts in (a1, a2, a3, diamond()):
+        for net_type in (TYPE_1, TYPE_0, TYPE_ALL):
+            for d in range(len(ts.events) + 1):
+                for shrink in (False, True):
+                    assert_matches_atom_major(ts, net_type, d, shrink)
+
+
+@given(small_ts(), st.sampled_from([TYPE_1, TYPE_0, TYPE_ALL]),
+       st.integers(0, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_random_drts_matches_atom_major_reference(ts, net_type, d, shrink):
+    assert_matches_atom_major(ts, net_type, d, shrink)
