@@ -84,8 +84,6 @@ class _Search:
     ):
         if d < 0:
             raise ValueError("restriction bound must be >= 0")
-        self.ts = ts
-        self.net_type = net_type
         self.states = ts.states
         self.events = ts.events
         self.n_states = len(self.states)
@@ -238,36 +236,33 @@ class _Search:
         forced = self.forced_event
         chosen: list[int] = []
 
-        def rec(j: int, slots: int) -> Iterator[Candidate]:
+        def rec(start: int, slots: int) -> Iterator[Candidate]:
+            mark = len(self.uf_trail)
             if slots == 0:
                 if forced is not None and forced not in chosen:
                     self._dispose(1, count)
                     return
-                mark = len(self.uf_trail)
-                self._join_suffix(j)
+                self._join_suffix(start)
                 if self.atom is not None and self._atom_pruned():
                     self._dispose(1, count)
                 else:
                     yield from self._assignments(chosen)
                 self._rollback_uf(mark)
                 return
-            if n - j < slots:
-                return
-            # include j (first: lexicographic subset order)
-            chosen.append(j)
-            yield from rec(j + 1, slots - 1)
-            chosen.pop()
-            # exclude j
-            if forced is not None and j == forced:
-                # without the atom's event, sig(e)=nop never solves it
-                self._dispose(comb(n - j - 1, slots), count)
-                return
-            mark = len(self.uf_trail)
-            self._contract(j)
-            if self.atom is not None and self._atom_pruned():
-                self._dispose(comb(n - j - 1, slots), count)
-            else:
-                yield from rec(j + 1, slots)
+            # j is the next chosen event (lexicographic subset order); the
+            # events passed over stay contracted for the later choices
+            for j in range(start, n - slots + 1):
+                chosen.append(j)
+                yield from rec(j + 1, slots - 1)
+                chosen.pop()
+                if j == forced:
+                    # without the atom's event, sig(e)=nop never solves it
+                    self._dispose(comb(n - j - 1, slots), count)
+                    break
+                self._contract(j)
+                if self.atom is not None and self._atom_pruned():
+                    self._dispose(comb(n - j - 1, slots), count)
+                    break
             self._rollback_uf(mark)
 
         yield from rec(0, count)
@@ -283,11 +278,10 @@ class _Search:
 
         if count == 0:
             # the all-nop candidates: constant support over one big class
+            # (never reached in atom mode: _subset_dfs disposes of it)
             for h in (0, 1):
                 stats.candidates_examined += 1
                 stats.valid_regions += 1
-                if self.atom is not None:
-                    continue  # a constant region never solves anything
                 yield (self.all_states if h else 0, (), ())
             return
 
@@ -375,13 +369,6 @@ class _Search:
             while len(wt) > wmark:
                 wd[wt.pop()].pop()
 
-        def leaf_solves(h: int) -> bool:
-            if atom_cls_1 >= 0:
-                return val[h][atom_cls_1] != val[h][atom_cls_2]
-            sig_e = sig_assign[e_pos]
-            assert sig_e is not None
-            return itab[sig_e][val[h][atom_cls_s]] is None
-
         # class root -> bitmask of its states, filled at the subset's first leaf
         cls_mask: dict[int, int] = {}
 
@@ -421,8 +408,8 @@ class _Search:
                         if dead_at[h] is None:
                             stats.candidates_examined += 1
                             stats.valid_regions += 1
-                            if self.atom is None or leaf_solves(h):
-                                yield candidate(h)
+                            # all classes valued: atom_killed proved it solves
+                            yield candidate(h)
                 elif dead_at[0] is None or dead_at[1] is None:
                     yield from rec(p + 1)
                 for h in alive:
@@ -558,6 +545,8 @@ def solve_drts(
     solved, so an unsolvable verdict always reflects a fully drained
     candidate space.
     """
+    if d < 0:
+        raise ValueError("restriction bound must be >= 0")
     t0 = time.monotonic()
     stats = EnumerationStats()
     atoms = enumerate_atoms(ts)

@@ -17,10 +17,6 @@ class ParseError(ValueError):
     pass
 
 
-def is_ident(token: str) -> bool:
-    return bool(_IDENT.match(token))
-
-
 def check_ident(token: str, what: str) -> str:
     if not _IDENT.match(token):
         raise ParseError(f"bad {what} {token!r}: identifiers match [A-Za-z0-9_.+-]+")

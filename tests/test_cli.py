@@ -255,6 +255,10 @@ def test_errors_exit_2(files, capsys):
     mangled = put("bad.ts", ".model ts\n.edge s a s\n")
     assert run("synth", "--ts", mangled, "--type", "nop", "--d", "1") == 2
     assert "missing .initial" in capsys.readouterr().err
+    loop = put("loop.ts", ".model ts\n.initial s0\n.edge s0 a s0\n")
+    assert run("synth", "--ts", loop, "--type", "nop,swap", "--d", "-1") == 2
+    assert capsys.readouterr().err == \
+        "error: restriction bound must be >= 0\n"
 
 
 def test_unexpected_errors_exit_2(files, capsys, monkeypatch):
@@ -269,6 +273,18 @@ def test_unexpected_errors_exit_2(files, capsys, monkeypatch):
     assert run("atom", "--ts", ts, "--type", "nop,swap", "--d", "1",
                "--atom", "ssp:s0,s1") == 2
     assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
+def test_atom_on_a_long_line(files, capsys):
+    # the subset search recurses per chosen event, not per event, so a
+    # TS with well over a thousand events is decided
+    put, _ = files
+    edges = "".join(f".edge s{i:04d} e{i:04d} s{i + 1:04d}\n"
+                    for i in range(1200))
+    ts = put("line.ts", ".model ts\n.initial s0000\n" + edges)
+    assert run("atom", "--ts", ts, "--type", "nop,swap", "--d", "1",
+               "--atom", "ssp:s1149,s1150") == 0
+    assert ".sig e1149 swap" in capsys.readouterr().out
 
 
 def test_console_entry_point(files):

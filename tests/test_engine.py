@@ -167,6 +167,26 @@ def test_solve_atom_never_examines_more_than_the_space(a3):
         assert stats.candidates_examined <= b.candidate_count_formula(3, 7, 2)
 
 
+def test_solve_atom_pruned_counters_are_pinned(demo_hs):
+    # the pruned counts of the compiled alpha query at d and d-1; any change
+    # to the search or its pruning that moves them is a spec change
+    want = {
+        "1.1": [(True, 10818, 1), (False, 9986, 0)],
+        "1.2": [(True, 16692436, 1), (False, 14070806, 0)],
+        "1.3": [(True, 84717919, 1), (False, 61767392, 0)],
+    }
+    for construction, rows in want.items():
+        art = b.reduce_instance(construction, demo_hs)
+        got = []
+        for d in (art.d, art.d - 1):
+            stats = b.EnumerationStats()
+            region = b.solve_atom(art.ts, art.default_type, d, art.alpha,
+                                  stats=stats)
+            got.append((region is not None, stats.candidates_examined,
+                        stats.valid_regions))
+        assert got == rows, construction
+
+
 # -- solve_drts ------------------------------------------------------------------
 
 def test_drts_a1_solvable_by_r1_alone(a1):
@@ -227,6 +247,9 @@ def test_drts_on_atomless_ts():
     assert outcome.admissible_set == []
     net = b.synthesize_net(ts, outcome.admissible_set, TYPE_1)
     assert b.verify_lemma1(ts, net)
+    # the bound is checked even when there is nothing to search for
+    with pytest.raises(ValueError, match="restriction bound must be >= 0"):
+        b.solve_drts(ts, TYPE_1, -1)
 
 
 def test_drts_monotone_in_d(a1, a2, a3):
