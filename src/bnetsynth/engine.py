@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 from . import interactions
 from .interactions import INTERACTION_ORDER, PARTIAL, apply as apply_i
 from .nets import BooleanNet, InvalidNet, build_net, reachability_graph
-from .regions import Region, solves_essp, solves_ssp
+from .regions import Region, solves_essp, solves_ssp, validate_region
 from .ts import (EsspAtom, SeparationAtom, SspAtom, TransitionSystem,
                  enumerate_atoms, isomorphic, validate_atom)
 
@@ -620,8 +620,6 @@ def synthesize_net(
     net_type: frozenset[str],
 ) -> BooleanNet:
     """One place per region (p0, p1, ... in list order), flow = signatures."""
-    from .regions import validate_region
-
     flow: dict[tuple[str, str], str] = {}
     marking: dict[str, int] = {}
     places = []

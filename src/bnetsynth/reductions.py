@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from .interactions import format_type
 from .lineio import ParseError, check_ident, expect_model, tokenize
-from .regions import Region, expand_from_file, solves_essp
+from .regions import Region, expand_region, solves_essp
 from .ts import EsspAtom, TransitionSystem, build_ts, spanning_tree
 
 CONSTRUCTIONS = ("1.1", "1.2", "1.3", "1.4")
@@ -423,12 +423,13 @@ def alpha_witness_region(construction: str, artifact: ReductionArtifact,
         raise ValueError(
             f"hitting set has {len(chosen)} elements, kappa is {inst.kappa}")
     base, member_sig = _WITNESS_SIG[construction]
-    sig = dict(base)
+    sig = {e: "nop" for e in artifact.ts.events}
+    sig.update(base)
     for x in chosen:
-        if x in artifact.ts.events:
+        if x in sig:
             sig[x] = member_sig
     tree = spanning_tree(artifact.ts)
-    region = expand_from_file(artifact.ts, artifact.default_type, 1, sig, tree)
+    region = expand_region(artifact.ts, artifact.default_type, 1, sig, tree)
     if region is None or not solves_essp(region, artifact.default_type,
                                          artifact.alpha.event,
                                          artifact.alpha.state):

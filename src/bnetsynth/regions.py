@@ -44,6 +44,38 @@ def implicit_form(region: Region, ts: TransitionSystem) -> tuple[int, tuple[tupl
     return (region.support[ts.initial], sig)
 
 
+def _check_signature(
+    ts: TransitionSystem,
+    net_type: frozenset[str],
+    sig: Mapping[str, str],
+) -> None:
+    """Raise InvalidRegion unless sig maps exactly the TS's events into the type."""
+    for e in ts.events:
+        if e not in sig:
+            raise InvalidRegion(f"signature missing event {e!r}")
+    events = set(ts.events)
+    for e, i in sig.items():
+        if e not in events:
+            raise InvalidRegion(f"signature references unknown event {e!r}")
+        if not interactions.is_interaction(i):
+            raise InvalidRegion(f"signature maps {e!r} to unknown interaction {i!r}")
+        if i not in net_type:
+            raise InvalidRegion(f"signature maps {e!r} to {i!r} outside the net type")
+
+
+def _first_bad_edge(
+    ts: TransitionSystem,
+    support: Mapping[str, int],
+    sig: Mapping[str, str],
+) -> Optional[Edge]:
+    """First edge in canonical order that the region does not respect."""
+    for src, event, dst in ts.edges:
+        v = apply_i(sig[event], support[src])
+        if v is None or v != support[dst]:
+            return (src, event, dst)
+    return None
+
+
 def expand_region(
     ts: TransitionSystem,
     net_type: frozenset[str],
@@ -75,17 +107,7 @@ def diagnose_expansion(
     where edge is either the tree edge whose application was undefined or
     the first inconsistent edge in canonical order.
     """
-    for e in ts.events:
-        if e not in sig:
-            raise InvalidRegion(f"signature missing event {e!r}")
-    for e, i in sig.items():
-        if e not in ts.events:
-            raise InvalidRegion(f"signature references unknown event {e!r}")
-        if not interactions.is_interaction(i):
-            raise InvalidRegion(f"signature maps {e!r} to unknown interaction {i!r}")
-        if i not in net_type:
-            raise InvalidRegion(f"signature maps {e!r} to {i!r} outside the net type")
-
+    _check_signature(ts, net_type, sig)
     support: dict[str, int] = {tree.root: sup_initial}
     for state in tree.order[1:]:
         parent, event = tree.parent[state]
@@ -93,12 +115,10 @@ def diagnose_expansion(
         if v is None:
             return None, (parent, event, state)
         support[state] = v
-
-    region = Region(support=support, signature=dict(sig))
-    ok, bad = validate_region(ts, net_type, region)
-    if not ok:
+    bad = _first_bad_edge(ts, support, sig)
+    if bad is not None:
         return None, bad
-    return region, None
+    return Region(support=support, signature=dict(sig)), None
 
 
 def validate_region(
@@ -109,23 +129,19 @@ def validate_region(
     """Check edge consistency; on failure also return the first bad edge.
 
     Edges are examined in canonical order, so the reported violation is
-    deterministic. Raises InvalidRegion when the region is not total over
-    the TS or strays outside the net type.
+    deterministic. Raises InvalidRegion when the region is malformed: its
+    support is not a 0/1 map over every state, or its signature is not a
+    total map from the TS's events into the net type.
     """
     for s in ts.states:
         if s not in region.support:
             raise InvalidRegion(f"support missing state {s!r}")
-    for e in ts.events:
-        if e not in region.signature:
-            raise InvalidRegion(f"signature missing event {e!r}")
-        if region.signature[e] not in net_type:
+        if region.support[s] not in (0, 1):
             raise InvalidRegion(
-                f"signature maps {e!r} to {region.signature[e]!r} outside the net type")
-    for src, event, dst in ts.edges:
-        v = apply_i(region.signature[event], region.support[src])
-        if v is None or v != region.support[dst]:
-            return False, (src, event, dst)
-    return True, None
+                f"support maps {s!r} to {region.support[s]!r}, not 0 or 1")
+    _check_signature(ts, net_type, region.signature)
+    bad = _first_bad_edge(ts, region.support, region.signature)
+    return bad is None, bad
 
 
 @dataclass(frozen=True)
@@ -262,21 +278,4 @@ def render_region(supinit: int, sig: Mapping[str, str]) -> str:
 
 
 def render_region_of(region: Region, ts: TransitionSystem) -> str:
-    supinit, _ = implicit_form(region, ts)
-    return render_region(supinit, region.signature)
-
-
-def expand_from_file(
-    ts: TransitionSystem,
-    net_type: frozenset[str],
-    supinit: int,
-    sparse_sig: Mapping[str, str],
-    tree: SpanningTree,
-) -> Optional[Region]:
-    """Expand a parsed implicit region whose omitted events mean nop."""
-    sig = {e: "nop" for e in ts.events}
-    for e, i in sparse_sig.items():
-        if e not in sig:
-            raise InvalidRegion(f"signature references unknown event {e!r}")
-        sig[e] = i
-    return expand_region(ts, net_type, supinit, sig, tree)
+    return render_region(region.support[ts.initial], region.signature)

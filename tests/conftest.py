@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,25 @@ GOLDEN = Path(__file__).parent / "golden"
 
 TYPE_1 = frozenset({"nop", "swap", "used", "set"})
 TYPE_0 = frozenset({"nop", "inp", "free"})
+
+# the demo hitting-set instance: its minimum hitting sets have two elements
+DEMO_HS = (".model hs\n.universe X1 X2 X3 X4\n.set S1 X1 X2\n.set S2 X2 X3\n"
+           ".set S3 X1 X4\n.set S4 X1 X3 X4\n.kappa 2\n")
+
+
+def brute_force_regions(ts, net_type, d=None):
+    """Reference enumerator: expand every total signature over the type and
+    keep the valid regions with at most d non-nop events (all when d is None)."""
+    tree = b.spanning_tree(ts)
+    found = []
+    for supinit in (0, 1):
+        for sigs in product(sorted(net_type), repeat=len(ts.events)):
+            sig = dict(zip(ts.events, sigs))
+            region = b.expand_region(ts, net_type, supinit, sig, tree)
+            if region is not None and (d is None or
+                                       b.restriction_count(region) <= d):
+                found.append(region)
+    return found
 
 
 @pytest.fixture
@@ -43,10 +63,7 @@ def demo_net():
 
 @pytest.fixture
 def demo_hs():
-    return b.build_hs_instance(
-        ["X1", "X2", "X3", "X4"],
-        [["X1", "X2"], ["X2", "X3"], ["X1", "X4"], ["X1", "X3", "X4"]],
-        2)
+    return b.parse_hs(DEMO_HS)
 
 
 @pytest.fixture

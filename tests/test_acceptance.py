@@ -16,15 +16,11 @@ import pytest
 import bnetsynth as b
 from bnetsynth.cli import main
 from bnetsynth.ts import SpanningTree
+from conftest import TYPE_0, TYPE_1, brute_force_regions
 
 GOLDEN = Path(__file__).parent / "golden"
 
-TYPE_0 = frozenset({"nop", "inp", "free"})
-TYPE_1 = frozenset({"nop", "swap", "used", "set"})
 TYPE_ALL = frozenset(b.INTERACTION_ORDER)
-
-DEMO_UNIVERSE = ["X1", "X2", "X3", "X4"]
-DEMO_SETS = [["X1", "X2"], ["X2", "X3"], ["X1", "X4"], ["X1", "X3", "X4"]]
 
 
 @contextmanager
@@ -33,23 +29,6 @@ def budget(seconds):
     yield
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
-
-
-def brute_force_regions(ts, net_type, d=None):
-    """Reference enumeration: expand every total signature over the type."""
-    tree = b.spanning_tree(ts)
-    found = []
-    for sup_init in (0, 1):
-        for combo in itertools.product(sorted(net_type),
-                                       repeat=len(ts.events)):
-            sig = dict(zip(ts.events, combo))
-            region = b.expand_region(ts, net_type, sup_init, sig, tree)
-            if region is None or not b.validate_region(ts, net_type,
-                                                       region)[0]:
-                continue
-            if d is None or b.restriction_count(region) <= d:
-                found.append(region)
-    return found
 
 
 def test_criterion_01_interaction_table():
@@ -150,15 +129,15 @@ def test_criterion_05_reduction_cli_atom_matches_hs_oracle(demo_hs, tmp_path):
         assert hitting_set is not None
         assert b.is_hitting_set(demo_hs, hitting_set)
         assert b.is_hitting_set(demo_hs, ["X1", "X3"])
-        tight = b.build_hs_instance(DEMO_UNIVERSE, DEMO_SETS, 1)
+        tight = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 1)
         assert b.hs_brute_force(tight) is None
 
 
 @pytest.mark.slow
-def test_criterion_06_full_synthesis_yes_and_no():
+def test_criterion_06_full_synthesis_yes_and_no(demo_hs):
     # YES: with budget 3 the compiled system is solvable outright, and the
     # synthesized net generates the input back
-    roomy = b.build_hs_instance(DEMO_UNIVERSE, DEMO_SETS, 3)
+    roomy = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 3)
     art = b.reduce_t11(roomy)
     assert art.d == 5
     with budget(300.0):

@@ -1,16 +1,17 @@
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import bnetsynth as b
 from bnetsynth.cli import main
+from conftest import DEMO_HS
 
 A1_TS = ".model ts\n.initial s0\n.edge s0 a s1\n.edge s1 a s0\n"
 A2_TS = ".model ts\n.initial r0\n.edge r0 b r1\n.edge r1 c r0\n"
-DEMO_HS = (".model hs\n.universe X1 X2 X3 X4\n.set S1 X1 X2\n.set S2 X2 X3\n"
-          ".set S3 X1 X4\n.set S4 X1 X3 X4\n.kappa 2\n")
 R1_REGION = ".model region\n.supinit 0\n.sig a swap\n"
 
 A1_REPORT = (
@@ -130,7 +131,7 @@ def test_atom_rejects_non_atoms(files, capsys):
     assert err == "error: atom essp:b,nosuch references unknown state 'nosuch'\n"
 
 
-def test_reduce_writes_ts_and_meta(files, capsys):
+def test_reduce_writes_ts_and_meta(files, capsys, demo_hs):
     put, tmp = files
     hs = put("inst.hs", DEMO_HS)
     code = run("reduce", "--construction", "1.4", "--hs", hs,
@@ -139,9 +140,8 @@ def test_reduce_writes_ts_and_meta(files, capsys):
     assert capsys.readouterr().out == ""
     ts = b.read_ts(str(tmp / "red.ts"))
     assert (len(ts.states), len(ts.events), len(ts.edges)) == (105, 64, 104)
-    inst = b.parse_hs(DEMO_HS)
     assert (tmp / "red.meta").read_text(encoding="utf-8") == \
-        b.render_meta(b.reduce_t14(inst))
+        b.render_meta(b.reduce_t14(demo_hs))
 
 
 def test_reduce_is_byte_deterministic(files):
@@ -209,6 +209,17 @@ def test_check_region_outside_type_is_an_error(files, capsys):
                "--region", region)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: signature maps 'a'")
+
+
+def test_check_region_unknown_event_is_an_error(files, capsys):
+    put, _ = files
+    ts = put("a1.ts", A1_TS)
+    region = put("z.region", ".model region\n.supinit 0\n.sig z swap\n")
+    code = run("check-region", "--ts", ts, "--type", "nop,swap",
+               "--region", region)
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: signature references unknown event 'z'\n"
 
 
 def test_verify(files, capsys, a1_net_golden):
@@ -290,8 +301,12 @@ def test_atom_on_a_long_line(files, capsys):
 def test_console_entry_point(files):
     put, _ = files
     hs = put("inst.hs", DEMO_HS)
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(b.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "bnetsynth.cli",
                            "hs", "--hs", hs],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "X1 X2\n"

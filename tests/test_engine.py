@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 import bnetsynth as b
 from bnetsynth.interactions import INTERACTION_ORDER
+from conftest import TYPE_0, TYPE_1, brute_force_regions
 
-TYPE_1 = frozenset({"nop", "swap", "used", "set"})
-TYPE_0 = frozenset({"nop", "inp", "free"})
 TYPE_ALL = frozenset(INTERACTION_ORDER)
 
 R_1 = b.Region(support={"s0": 0, "s1": 1}, signature={"a": "swap"})
@@ -16,19 +15,6 @@ R_1 = b.Region(support={"s0": 0, "s1": 1}, signature={"a": "swap"})
 
 def stream(ts, net_type, d, stats=None):
     return list(b.enumerate_valid_regions(ts, net_type, d, stats=stats))
-
-
-def brute_force_regions(ts, net_type, d):
-    """Reference enumerator: expand every total signature, filter by bound."""
-    tree = b.spanning_tree(ts)
-    found = []
-    for supinit in (0, 1):
-        for sigs in product(sorted(net_type), repeat=len(ts.events)):
-            sig = dict(zip(ts.events, sigs))
-            region = b.expand_region(ts, net_type, supinit, sig, tree)
-            if region is not None and b.restriction_count(region) <= d:
-                found.append(region)
-    return found
 
 
 def canonical_key(region, ts):
@@ -294,6 +280,10 @@ def test_synthesize_rejects_invalid_regions(a1):
     bogus = b.Region(support={"s0": 0, "s1": 0}, signature={"a": "swap"})
     with pytest.raises(ValueError, match="region 0 does not validate"):
         b.synthesize_net(a1, [bogus], TYPE_1)
+    stray = b.Region(support={"s0": 0, "s1": 1},
+                     signature={"a": "swap", "zz": "set"})
+    with pytest.raises(b.InvalidRegion, match="unknown event 'zz'"):
+        b.synthesize_net(a1, [stray], TYPE_1)
 
 
 def test_synthesize_with_no_places(a1):

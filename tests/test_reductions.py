@@ -298,11 +298,11 @@ def test_witness_region_errors(demo_hs):
 def test_published_t12_region_with_the_extra_theta(demo_hs):
     # the seven-entry variant that also resets the last chain event
     art = b.reduce_t12(demo_hs)
-    sig = {"k": "used", "o2": "set", "X1": "set", "X3": "set",
-           "o1": "res", "z1": "res", "theta_6": "res"}
-    from bnetsynth.regions import expand_from_file
-    region = expand_from_file(art.ts, art.default_type, 1, sig,
-                              b.spanning_tree(art.ts))
+    sig = {e: "nop" for e in art.ts.events}
+    sig.update(k="used", o2="set", X1="set", X3="set",
+               o1="res", z1="res", theta_6="res")
+    region = b.expand_region(art.ts, art.default_type, 1, sig,
+                             b.spanning_tree(art.ts))
     assert region is not None
     assert b.restriction_count(region) == 7
     assert b.solves_essp(region, art.default_type, "k", "h_1_2")
@@ -313,10 +313,10 @@ def test_published_t12_region_with_the_extra_theta(demo_hs):
 
 def test_t14_snippet_region_validates(demo_hs):
     art = b.reduce_t14(demo_hs)
-    from bnetsynth.regions import expand_from_file
-    region = expand_from_file(art.ts, art.default_type, 0,
-                              {"X1": "inp", "z3": "swap"},
-                              b.spanning_tree(art.ts))
+    sig = {e: "nop" for e in art.ts.events}
+    sig.update(X1="inp", z3="swap")
+    region = b.expand_region(art.ts, art.default_type, 0, sig,
+                             b.spanning_tree(art.ts))
     assert region is not None
     assert region.support["bot_1"] == 0
 

@@ -5,12 +5,11 @@ import pytest
 import bnetsynth as b
 from bnetsynth.lineio import ParseError
 from bnetsynth.regions import (InvalidRegion, PathImage, diagnose_expansion,
-                               expand_from_file, parse_region_file,
-                               render_region_of)
+                               parse_region_file, render_region_of)
 from bnetsynth.ts import SpanningTree
+from conftest import TYPE_0, TYPE_1, brute_force_regions
 
-TYPE_1 = frozenset({"nop", "swap", "used", "set"})
-TYPE_0 = frozenset({"nop", "inp", "free"})
+TYPE_ALL = frozenset(b.INTERACTION_ORDER)
 SIG3 = {"a": "used", "b": "swap", "c": "set"}
 
 
@@ -74,6 +73,22 @@ def test_validate_rejects_partial_regions(a2):
         b.validate_region(a2, TYPE_1, b.Region({"r0": 0, "r1": 0}, {"b": "nop"}))
     with pytest.raises(InvalidRegion, match="outside the net type"):
         b.validate_region(a2, frozenset({"nop"}), region_r2())
+    with pytest.raises(InvalidRegion, match="support maps 'r1' to 2, not 0 or 1"):
+        b.validate_region(a2, TYPE_1, b.Region({"r0": 0, "r1": 2},
+                                               region_r2().signature))
+
+
+def test_validate_and_expand_share_the_signature_check(a1):
+    # a malformed signature is rejected with the same message whether it
+    # comes inside an explicit region or as the input of an expansion
+    net_type = frozenset({"nop", "set", "swap"})
+    for sig, message in (({"a": "swap", "zz": "set"}, "unknown event 'zz'"),
+                         ({"a": "flip"}, "unknown interaction 'flip'")):
+        with pytest.raises(InvalidRegion, match=message) as explicit:
+            b.validate_region(a1, net_type, b.Region({"s0": 0, "s1": 1}, sig))
+        with pytest.raises(InvalidRegion, match=message) as implicit:
+            b.expand_region(a1, net_type, 0, sig, b.spanning_tree(a1))
+        assert str(explicit.value) == str(implicit.value)
 
 
 def test_restriction_count(a1):
@@ -152,19 +167,6 @@ def test_essp_solving_signature_is_partial(a2):
                 assert region.signature[event] in b.PARTIAL
 
 
-def brute_force_regions(ts, net_type):
-    """All valid regions by trying every (supinit, total signature) pair."""
-    tree = b.spanning_tree(ts)
-    found = []
-    for supinit in (0, 1):
-        for sigs in product(sorted(net_type), repeat=len(ts.events)):
-            sig = dict(zip(ts.events, sigs))
-            region = b.expand_region(ts, net_type, supinit, sig, tree)
-            if region is not None and region not in found:
-                found.append(region)
-    return found
-
-
 def test_a2_atoms_unsolvable_under_type1(a2):
     regions = brute_force_regions(a2, TYPE_1)
     assert regions  # plenty of valid regions exist ...
@@ -210,6 +212,22 @@ def test_expansion_is_tree_independent():
             assert results[0] == results[1] == results[2]
 
 
+def test_validate_accepts_exactly_the_expansions(a1, a2, a3):
+    # an explicit region is valid iff expanding its initial bit and its
+    # signature gives back that very region
+    for ts in (a1, a2, a3, diamond()):
+        tree = b.spanning_tree(ts)
+        for sigs in product(b.INTERACTION_ORDER, repeat=len(ts.events)):
+            sig = dict(zip(ts.events, sigs))
+            expanded = [b.expand_region(ts, TYPE_ALL, v, sig, tree)
+                        for v in (0, 1)]
+            for bits in product((0, 1), repeat=len(ts.states)):
+                region = b.Region(dict(zip(ts.states, bits)), sig)
+                ok, bad = b.validate_region(ts, TYPE_ALL, region)
+                assert ok == (expanded[region.support[ts.initial]] == region)
+                assert (bad is None) == ok
+
+
 def test_expansion_alone_does_not_imply_validity():
     # propagation can succeed along the tree yet fail on a chord
     ts = diamond()
@@ -227,7 +245,7 @@ def test_region_roundtrip(a2):
     text = render_region_of(region_r2(), a2)
     assert text == ".model region\n.supinit 0\n.sig b set\n.sig c swap\n"
     supinit, sig = b.parse_region(text)
-    region = expand_from_file(a2, TYPE_1, supinit, sig, b.spanning_tree(a2))
+    region = b.expand_region(a2, TYPE_1, supinit, sig, b.spanning_tree(a2))
     assert region == region_r2()
 
 
@@ -258,12 +276,3 @@ def test_parse_region_errors():
         b.parse_region(".model region\n.supinit 0\n.sig a flip\n")
     with pytest.raises(ParseError, match="unknown directive"):
         b.parse_region(".model region\n.supinit 0\n.support s 1\n")
-
-
-def test_expand_from_file_fills_nop(a3):
-    region = expand_from_file(a3, TYPE_1, 1, {"a": "used"},
-                              b.spanning_tree(a3))
-    assert region is not None
-    assert region.signature == {"a": "used", "b": "nop", "c": "nop"}
-    with pytest.raises(InvalidRegion, match="unknown event 'z'"):
-        expand_from_file(a3, TYPE_1, 1, {"z": "used"}, b.spanning_tree(a3))
