@@ -9,10 +9,14 @@ interaction order, then initial support 0 before 1.
 
 Fixing the nop-events contracts the TS, because nop forces equal support
 across an edge. Each subset is therefore explored on a quotient graph
-maintained by a rollback union-find, with both initial-support hypotheses
-propagated simultaneously and abandoned candidate ranges accounted for
-arithmetically, so candidates_examined stays exact: a full drain equals
-candidate_count_formula whenever nop is in the type.
+maintained by a rollback union-find, its assignments as an odometer over
+positions for both initial-support hypotheses: two bitmasks over quotient
+classes each (R valued, O valued 1), snapshotted per position. Propagation
+is forward, an edge counting once its source class is valued, so abandoned
+candidate ranges are accounted for arithmetically from the exact position
+where a hypothesis dies, and candidates_examined stays exact even on an
+early stop: a full drain equals candidate_count_formula whenever nop is in
+the type.
 """
 
 from __future__ import annotations
@@ -67,8 +71,17 @@ class SynthesisOutcome:
     stats: EnumerationStats
 
 
-# value at which each partial interaction is defined, and what it maps to
-_PARTIAL_SRC = {"inp": 1, "out": 0, "used": 1, "free": 0}
+def _rule(i: str) -> tuple[Optional[int], Optional[int]]:
+    at = (apply_i(i, 0), apply_i(i, 1))
+    gives = set(at) - {None}
+    return (at.index(None) ^ 1 if None in at else None,
+            gives.pop() if len(gives) == 1 else None)
+
+
+# each interaction as (the source value it needs or None, the one value it
+# gives a target or None); (None, None) are nop and swap, whose target gets
+# the source value kept or flipped
+_RULE = {i: _rule(i) for i in INTERACTION_ORDER}
 
 
 class _Search:
@@ -128,7 +141,7 @@ class _Search:
             # partial candidate; if every candidate is defined at the
             # target value too (used/free), target merges are just as fatal.
             prune_nodes = {u for u, _ in e_edges}
-            if cand and all(self.itab[i][self.itab[i][_PARTIAL_SRC[i]]] is not None
+            if cand and all(self.itab[i][self.itab[i][_RULE[i][0]]] is not None
                             for i in cand):
                 prune_nodes.update(v for _, v in e_edges)
             self.atom_prune_nodes = sorted(prune_nodes)
@@ -235,37 +248,43 @@ class _Search:
         n = self.n_events
         forced = self.forced_event
         chosen: list[int] = []
-
-        def rec(start: int, slots: int) -> Iterator[Candidate]:
-            mark = len(self.uf_trail)
-            if slots == 0:
+        # one union-find trail mark per open level; j is the next chosen
+        # event to try at the deepest level (lexicographic subset order)
+        marks = [len(self.uf_trail)]
+        j = 0
+        while True:
+            slots = count - len(chosen)
+            if slots and j <= n - slots:
+                chosen.append(j)
+                marks.append(len(self.uf_trail))
+                j += 1
+                continue
+            if not slots:
                 if forced is not None and forced not in chosen:
                     self._dispose(1, count)
-                    return
-                self._join_suffix(start)
-                if self.atom is not None and self._atom_pruned():
-                    self._dispose(1, count)
                 else:
-                    yield from self._assignments(chosen)
-                self._rollback_uf(mark)
+                    self._join_suffix(j)
+                    if self.atom is not None and self._atom_pruned():
+                        self._dispose(1, count)
+                    else:
+                        yield from self._assignments(chosen)
+            self._rollback_uf(marks.pop())
+            # back to the parent level, where the event just tried stays
+            # contracted for the later choices
+            while chosen:
+                j = chosen.pop()
+                slots = count - len(chosen)
+                if j != forced:
+                    self._contract(j)
+                    if self.atom is None or not self._atom_pruned():
+                        j += 1
+                        break
+                # without the atom's event sig(e)=nop never solves it; a
+                # contraction that merges the atom does for every later choice
+                self._dispose(comb(n - j - 1, slots), count)
+                self._rollback_uf(marks.pop())
+            else:
                 return
-            # j is the next chosen event (lexicographic subset order); the
-            # events passed over stay contracted for the later choices
-            for j in range(start, n - slots + 1):
-                chosen.append(j)
-                yield from rec(j + 1, slots - 1)
-                chosen.pop()
-                if j == forced:
-                    # without the atom's event, sig(e)=nop never solves it
-                    self._dispose(comb(n - j - 1, slots), count)
-                    break
-                self._contract(j)
-                if self.atom is not None and self._atom_pruned():
-                    self._dispose(comb(n - j - 1, slots), count)
-                    break
-            self._rollback_uf(mark)
-
-        yield from rec(0, count)
 
     # -- per-subset assignment search ---------------------------------------
 
@@ -273,6 +292,7 @@ class _Search:
         count = len(chosen)
         find = self._find
         itab = self.itab
+        rule = _RULE
         stats = self.stats
         nn = self.nn
 
@@ -285,10 +305,30 @@ class _Search:
                 yield (self.all_states if h else 0, (), ())
             return
 
-        qedges: list[list[tuple[int, int]]] = []
+        # each position's quotient edges over class bits (1 << root): its
+        # sources, its targets, each source's targets, and the sources of
+        # all positions up to it
+        src: list[int] = []
+        tgt: list[int] = []
+        succ: list[dict[int, int]] = []
+        upto: list[int] = []
+        parent = self.uf_parent
         for j in chosen:
-            qedges.append(sorted({(find(u), find(v))
-                                  for u, v in self.edges_by_event[j]}))
+            m: dict[int, int] = {}
+            s = t = 0
+            for u, v in self.edges_by_event[j]:
+                while parent[u] != u:  # _find, inlined for speed
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                bu, bv = 1 << u, 1 << v
+                m[bu] = m.get(bu, 0) | bv
+                s |= bu
+                t |= bv
+            src.append(s)
+            tgt.append(t)
+            succ.append(m)
+            upto.append(s | (upto[-1] if upto else 0))
 
         # candidate interactions per position, canonical order throughout
         cands: list[tuple[str, ...]] = [self.non_nop] * count
@@ -296,7 +336,7 @@ class _Search:
         if self.forced_event is not None:
             e_pos = chosen.index(self.forced_event)
             allowed = self.essp_cands
-            if any(u == v for u, v in qedges[e_pos]):
+            if any(bu & bv for bu, bv in succ[e_pos].items()):
                 # a quotient self-loop rules out the value-changing partials
                 allowed = tuple(i for i in allowed if i not in ("inp", "out"))
             cands[e_pos] = allowed
@@ -304,121 +344,121 @@ class _Search:
             self._dispose(1, count)
             return
 
-        atom_cls_1 = atom_cls_2 = atom_cls_s = -1
+        atom_mode = self.atom is not None
+        atom_pair = atom_bit = 0
         if isinstance(self.atom, SspAtom):
-            atom_cls_1 = find(self.atom_s1)
-            atom_cls_2 = find(self.atom_s2)
+            atom_pair = 1 << find(self.atom_s1) | 1 << find(self.atom_s2)
         elif isinstance(self.atom, EsspAtom):
-            atom_cls_s = find(self.atom_s)
+            atom_bit = 1 << find(self.atom_s)
 
-        init_root = find(self.init_idx)
-        val: list[dict[int, int]] = [{init_root: 0}, {init_root: 1}]
-        val_trail: list[list[int]] = [[], []]
-        watch: list[dict[int, list[tuple[str, int, int]]]] = [{}, {}]
-        watch_trail: list[list[int]] = [[], []]
-        dead_at: list[Optional[int]] = [None, None]
-        sig_assign: list[Optional[str]] = [None] * count
+        sig: list[str] = [""] * count
 
-        def propagate(h: int, iname: str, edges: list[tuple[int, int]]) -> bool:
-            vals = val[h]
-            wt = watch[h]
-            queue: list[tuple[str, int, int]] = [(iname, u, v) for u, v in edges]
-            while queue:
-                ci, cu, cv = queue.pop()
-                bu = vals.get(cu)
-                if bu is None:
-                    wt.setdefault(cu, []).append((ci, cu, cv))
-                    watch_trail[h].append(cu)
-                    continue
-                y = itab[ci][bu]
-                if y is None:
-                    return False
-                bv = vals.get(cv)
-                if bv is None:
-                    vals[cv] = y
-                    val_trail[h].append(cv)
-                    more = wt.get(cv)
-                    if more:
-                        queue.extend(more)
-                elif bv != y:
-                    return False
-            return True
+        def targets(q: int, sources: int) -> int:
+            if sources == src[q]:
+                return tgt[q]
+            m, found = succ[q], 0
+            while sources:
+                low = sources & -sources
+                found |= m[low]
+                sources ^= low
+            return found
 
-        def atom_killed(h: int) -> bool:
+        def advance(R: int, O: int, p: int) -> Optional[tuple[int, int]]:
+            """Fire p's edges from the valued classes R (O: those at 1), then
+            those of positions <= p from each newly valued one; None on a conflict."""
+            fresh, lo = R, p
+            while True:
+                before = R
+                for q in range(lo, p + 1):
+                    S = src[q] & fresh
+                    if not S:
+                        continue
+                    need, t = rule[sig[q]]
+                    if t is not None:
+                        if need == 1 and S & (R ^ O) or need == 0 and S & O:
+                            return None
+                        T = targets(q, S)
+                        if t:
+                            if T & (R ^ O):
+                                return None
+                            O |= T
+                        elif T & O:
+                            return None
+                        R |= T
+                    else:
+                        # swap (nop is never chosen): the source value flipped
+                        S1 = S & O
+                        ones, zeros = targets(q, S ^ S1), targets(q, S1)
+                        if ones & zeros or ones & (R ^ O) or zeros & O:
+                            return None
+                        R |= ones | zeros
+                        O |= ones
+                fresh, lo = R ^ before, 0
+                if not fresh & upto[p]:
+                    return R, O
+
+        def killed(R: int, O: int, p: int) -> bool:
             # solve_atom mode only: drop hypotheses that provably cannot
             # yield a solving region (their validity is then irrelevant)
-            if atom_cls_1 >= 0:
-                v1 = val[h].get(atom_cls_1)
-                if v1 is None:
-                    return False
-                v2 = val[h].get(atom_cls_2)
-                return v2 is not None and v1 == v2
-            vs = val[h].get(atom_cls_s)
-            if vs is None:
-                return False
-            sig_e = sig_assign[e_pos]
-            return sig_e is not None and itab[sig_e][vs] is not None
+            if atom_pair:
+                return (R & atom_pair == atom_pair
+                        and O & atom_pair in (0, atom_pair))
+            return bool(R & atom_bit and e_pos <= p and
+                        itab[sig[e_pos]][1 if O & atom_bit else 0] is not None)
 
-        def undo(h: int, vmark: int, wmark: int) -> None:
-            vals = val[h]
-            vt = val_trail[h]
-            while len(vt) > vmark:
-                del vals[vt.pop()]
-            wt = watch_trail[h]
-            wd = watch[h]
-            while len(wt) > wmark:
-                wd[wt.pop()].pop()
-
-        # class root -> bitmask of its states, filled at the subset's first leaf
+        # class bit -> bitmask of its states, filled at the subset's first leaf
         cls_mask: dict[int, int] = {}
+        chosen_t = tuple(chosen)
 
-        def candidate(h: int) -> Candidate:
+        def candidate(O: int) -> Candidate:
             if not cls_mask:
                 for s in range(self.n_states):
-                    r = find(s)
-                    cls_mask[r] = cls_mask.get(r, 0) | 1 << s
-            vals = val[h]
+                    b = 1 << find(s)
+                    cls_mask[b] = cls_mask.get(b, 0) | 1 << s
             mask = 0
-            for r, m in cls_mask.items():
-                if vals[r]:
+            for b, m in cls_mask.items():
+                if O & b:
                     mask |= m
-            return mask, tuple(chosen), tuple(sig_assign)  # type: ignore[arg-type]
+            return mask, chosen_t, tuple(sig)
 
-        def rec(p: int) -> Iterator[Candidate]:
-            last = p == count - 1
-            alive = [h for h in (0, 1) if dead_at[h] is None]
-            n_skipped = nn - len(cands[p])
-            if n_skipped:
-                # sig at the atom's event outside the partials never solves
-                stats.candidates_examined += (
-                    len(alive) * n_skipped * nn ** (count - p - 1))
-            for iname in cands[p]:
-                sig_assign[p] = iname
-                marks = {}
-                for h in alive:
-                    marks[h] = (len(val_trail[h]), len(watch_trail[h]))
-                    ok = propagate(h, iname, qedges[p])
-                    if ok and self.atom is not None:
-                        ok = not atom_killed(h)
-                    if not ok:
-                        dead_at[h] = p
-                        stats.candidates_examined += nn ** (count - p - 1)
-                if last:
-                    for h in (0, 1):
-                        if dead_at[h] is None:
-                            stats.candidates_examined += 1
-                            stats.valid_regions += 1
-                            # all classes valued: atom_killed proved it solves
-                            yield candidate(h)
-                elif dead_at[0] is None or dead_at[1] is None:
-                    yield from rec(p + 1)
-                for h in alive:
-                    undo(h, *marks[h])
-                    if dead_at[h] == p:
-                        dead_at[h] = None
-            sig_assign[p] = None
-
-        yield from rec(0)
+        # an odometer over positions: entry[p] holds each hypothesis's
+        # (R, O) on reaching p, None once dead; nxt[p] indexes cands[p]
+        last = count - 1
+        init = 1 << find(self.init_idx)
+        entry = [[(init, 0), (init, init)]] + [[]] * last
+        nxt = [0] * count
+        # sig at the atom's event outside the partials never solves
+        stats.candidates_examined += 2 * (nn - len(cands[0])) * nn ** last
+        p = 0
+        while p >= 0:
+            k = nxt[p]
+            if k == len(cands[p]):
+                p -= 1
+                continue
+            nxt[p] = k + 1
+            sig[p] = cands[p][k]
+            hyps: list[Optional[tuple[int, int]]] = []
+            for st in entry[p]:
+                if st is not None:
+                    st = advance(st[0], st[1], p)
+                    if st is not None and atom_mode and killed(*st, p):
+                        st = None
+                    if st is None:
+                        stats.candidates_examined += nn ** (last - p)
+                hyps.append(st)
+            if p == last:
+                for st in hyps:
+                    if st is not None:
+                        stats.candidates_examined += 1
+                        stats.valid_regions += 1
+                        # all classes valued: killed() proved it solves
+                        yield candidate(st[1])
+            elif hyps != [None, None]:
+                p += 1
+                entry[p] = hyps
+                nxt[p] = 0
+                stats.candidates_examined += (2 - hyps.count(None)) * (
+                    nn - len(cands[p])) * nn ** (last - p)
 
 
 def enumerate_valid_regions(
@@ -501,7 +541,7 @@ class _AtomIndex:
         essp = self.essp_row
         for e, iname in zip(chosen, sigs):
             row = essp[e]
-            src = _PARTIAL_SRC.get(iname)
+            src = _RULE[iname][0]
             if row and src is not None:
                 bits = row & (inv if src else mask)
                 if bits:

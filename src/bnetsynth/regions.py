@@ -88,7 +88,8 @@ def expand_region(
     Support propagates from the initial state along the spanning tree; the
     result is then checked against every edge of the TS. Returns None when
     propagation hits an undefined application or any edge is inconsistent.
-    Raises InvalidRegion when sig is not a total map into the net type.
+    Raises InvalidRegion when sup_initial is not 0 or 1, or sig is not a
+    total map into the net type.
     """
     region, _ = diagnose_expansion(ts, net_type, sup_initial, sig, tree)
     return region
@@ -107,6 +108,9 @@ def diagnose_expansion(
     where edge is either the tree edge whose application was undefined or
     the first inconsistent edge in canonical order.
     """
+    if sup_initial not in (0, 1):
+        raise InvalidRegion(
+            f"support maps {tree.root!r} to {sup_initial!r}, not 0 or 1")
     _check_signature(ts, net_type, sig)
     support: dict[str, int] = {tree.root: sup_initial}
     for state in tree.order[1:]:

@@ -298,6 +298,21 @@ def test_atom_on_a_long_line(files, capsys):
     assert ".sig e1149 swap" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [700, 1200])
+def test_atom_with_every_event_swapped_on_a_long_line(files, capsys, n):
+    # one region with n non-nop events: the subset and assignment searches
+    # keep their positions on explicit stacks, not on the call stack
+    put, _ = files
+    edges = "".join(f".edge s{i:04d} e{i:04d} s{i + 1:04d}\n"
+                    for i in range(n))
+    ts = put("line.ts", ".model ts\n.initial s0000\n" + edges)
+    assert run("atom", "--ts", ts, "--type", "swap", "--d", str(n),
+               "--atom", "ssp:s0000,s0001", "--stats") == 0
+    out = capsys.readouterr()
+    assert out.out.count(" swap\n") == n
+    assert out.err.startswith("candidates_examined=1\nvalid_regions=1\n")
+
+
 def test_console_entry_point(files):
     put, _ = files
     hs = put("inst.hs", DEMO_HS)

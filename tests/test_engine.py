@@ -1,11 +1,14 @@
 from itertools import product
+from typing import Iterator, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnetsynth as b
+from bnetsynth.engine import Candidate, _Search
 from bnetsynth.interactions import INTERACTION_ORDER
+from bnetsynth.ts import EsspAtom, SspAtom
 from conftest import TYPE_0, TYPE_1, brute_force_regions
 
 TYPE_ALL = frozenset(INTERACTION_ORDER)
@@ -336,9 +339,9 @@ def diamond():
 
 
 @st.composite
-def small_ts(draw):
-    n_states = draw(st.integers(1, 4))
-    n_events = draw(st.integers(1, 3))
+def small_ts(draw, max_states=4, max_events=3):
+    n_states = draw(st.integers(1, max_states))
+    n_events = draw(st.integers(1, max_events))
     states = [f"s{i}" for i in range(n_states)]
     events = [f"e{i}" for i in range(n_events)]
     delta = {}
@@ -450,3 +453,292 @@ def test_drts_matches_atom_major_reference(a1, a2, a3):
 @settings(max_examples=60, deadline=None)
 def test_random_drts_matches_atom_major_reference(ts, net_type, d, shrink):
     assert_matches_atom_major(ts, net_type, d, shrink)
+
+
+# -- the bitmask assignment kernel against the dict/watch-list search -----------
+
+class DictWatchSearch(_Search):
+    """The assignment search the bitmask kernel replaced, kept as its
+    reference: per hypothesis a dict of class values, watch lists of the
+    constraints whose source class has no value yet, undo trails and a
+    recursive generator over positions."""
+
+    def _assignments(self, chosen: list[int]) -> Iterator[Candidate]:
+        count = len(chosen)
+        find = self._find
+        itab = self.itab
+        stats = self.stats
+        nn = self.nn
+
+        if count == 0:
+            # the all-nop candidates: constant support over one big class
+            # (never reached in atom mode: _subset_dfs disposes of it)
+            for h in (0, 1):
+                stats.candidates_examined += 1
+                stats.valid_regions += 1
+                yield (self.all_states if h else 0, (), ())
+            return
+
+        qedges: list[list[tuple[int, int]]] = []
+        for j in chosen:
+            qedges.append(sorted({(find(u), find(v))
+                                  for u, v in self.edges_by_event[j]}))
+
+        # candidate interactions per position, canonical order throughout
+        cands: list[tuple[str, ...]] = [self.non_nop] * count
+        e_pos = -1
+        if self.forced_event is not None:
+            e_pos = chosen.index(self.forced_event)
+            allowed = self.essp_cands
+            if any(u == v for u, v in qedges[e_pos]):
+                # a quotient self-loop rules out the value-changing partials
+                allowed = tuple(i for i in allowed if i not in ("inp", "out"))
+            cands[e_pos] = allowed
+        if any(not c for c in cands):
+            self._dispose(1, count)
+            return
+
+        atom_cls_1 = atom_cls_2 = atom_cls_s = -1
+        if isinstance(self.atom, SspAtom):
+            atom_cls_1 = find(self.atom_s1)
+            atom_cls_2 = find(self.atom_s2)
+        elif isinstance(self.atom, EsspAtom):
+            atom_cls_s = find(self.atom_s)
+
+        init_root = find(self.init_idx)
+        val: list[dict[int, int]] = [{init_root: 0}, {init_root: 1}]
+        val_trail: list[list[int]] = [[], []]
+        watch: list[dict[int, list[tuple[str, int, int]]]] = [{}, {}]
+        watch_trail: list[list[int]] = [[], []]
+        dead_at: list[Optional[int]] = [None, None]
+        sig_assign: list[Optional[str]] = [None] * count
+
+        def propagate(h: int, iname: str, edges: list[tuple[int, int]]) -> bool:
+            vals = val[h]
+            wt = watch[h]
+            queue: list[tuple[str, int, int]] = [(iname, u, v) for u, v in edges]
+            while queue:
+                ci, cu, cv = queue.pop()
+                bu = vals.get(cu)
+                if bu is None:
+                    wt.setdefault(cu, []).append((ci, cu, cv))
+                    watch_trail[h].append(cu)
+                    continue
+                y = itab[ci][bu]
+                if y is None:
+                    return False
+                bv = vals.get(cv)
+                if bv is None:
+                    vals[cv] = y
+                    val_trail[h].append(cv)
+                    more = wt.get(cv)
+                    if more:
+                        queue.extend(more)
+                elif bv != y:
+                    return False
+            return True
+
+        def atom_killed(h: int) -> bool:
+            # solve_atom mode only: drop hypotheses that provably cannot
+            # yield a solving region (their validity is then irrelevant)
+            if atom_cls_1 >= 0:
+                v1 = val[h].get(atom_cls_1)
+                if v1 is None:
+                    return False
+                v2 = val[h].get(atom_cls_2)
+                return v2 is not None and v1 == v2
+            vs = val[h].get(atom_cls_s)
+            if vs is None:
+                return False
+            sig_e = sig_assign[e_pos]
+            return sig_e is not None and itab[sig_e][vs] is not None
+
+        def undo(h: int, vmark: int, wmark: int) -> None:
+            vals = val[h]
+            vt = val_trail[h]
+            while len(vt) > vmark:
+                del vals[vt.pop()]
+            wt = watch_trail[h]
+            wd = watch[h]
+            while len(wt) > wmark:
+                wd[wt.pop()].pop()
+
+        # class root -> bitmask of its states, filled at the subset's first leaf
+        cls_mask: dict[int, int] = {}
+
+        def candidate(h: int) -> Candidate:
+            if not cls_mask:
+                for s in range(self.n_states):
+                    r = find(s)
+                    cls_mask[r] = cls_mask.get(r, 0) | 1 << s
+            vals = val[h]
+            mask = 0
+            for r, m in cls_mask.items():
+                if vals[r]:
+                    mask |= m
+            return mask, tuple(chosen), tuple(sig_assign)  # type: ignore[arg-type]
+
+        def rec(p: int) -> Iterator[Candidate]:
+            last = p == count - 1
+            alive = [h for h in (0, 1) if dead_at[h] is None]
+            n_skipped = nn - len(cands[p])
+            if n_skipped:
+                # sig at the atom's event outside the partials never solves
+                stats.candidates_examined += (
+                    len(alive) * n_skipped * nn ** (count - p - 1))
+            for iname in cands[p]:
+                sig_assign[p] = iname
+                marks = {}
+                for h in alive:
+                    marks[h] = (len(val_trail[h]), len(watch_trail[h]))
+                    ok = propagate(h, iname, qedges[p])
+                    if ok and self.atom is not None:
+                        ok = not atom_killed(h)
+                    if not ok:
+                        dead_at[h] = p
+                        stats.candidates_examined += nn ** (count - p - 1)
+                if last:
+                    for h in (0, 1):
+                        if dead_at[h] is None:
+                            stats.candidates_examined += 1
+                            stats.valid_regions += 1
+                            # all classes valued: atom_killed proved it solves
+                            yield candidate(h)
+                elif dead_at[0] is None or dead_at[1] is None:
+                    yield from rec(p + 1)
+                for h in alive:
+                    undo(h, *marks[h])
+                    if dead_at[h] == p:
+                        dead_at[h] = None
+            sig_assign[p] = None
+
+        yield from rec(0)
+
+
+def reference_atom(ts, net_type, d, atom):
+    stats = b.EnumerationStats()
+    search = DictWatchSearch(ts, net_type, d, atom=atom, stats=stats)
+    found = next(search.stream(), None)
+    return None if found is None else search.region(found), stats
+
+
+def reference_drain(ts, net_type, d):
+    stats = b.EnumerationStats()
+    search = DictWatchSearch(ts, net_type, d, stats=stats)
+    return list(map(search.region, search.stream())), stats
+
+
+def assert_kernel_matches_reference(ts, net_type, d):
+    for atom in b.enumerate_atoms(ts):
+        stats = b.EnumerationStats()
+        got = b.solve_atom(ts, net_type, d, atom, stats=stats)
+        want, want_stats = reference_atom(ts, net_type, d, atom)
+        assert (got, stats.candidates_examined, stats.valid_regions) == \
+            (want, want_stats.candidates_examined, want_stats.valid_regions), \
+            (sorted(net_type), d, str(atom))
+    stats = b.EnumerationStats()
+    got = stream(ts, net_type, d, stats=stats)
+    want, want_stats = reference_drain(ts, net_type, d)
+    assert got == want, (sorted(net_type), d)
+    assert (stats.candidates_examined, stats.valid_regions) == \
+        (want_stats.candidates_examined, want_stats.valid_regions)
+
+
+# every interaction among them, swap with and without nop, and nop-free types
+KERNEL_TYPES = (TYPE_1, TYPE_0, TYPE_ALL, frozenset({"nop", "swap"}),
+                frozenset({"swap"}), frozenset({"set", "swap", "inp"}),
+                frozenset({"nop", "out", "res", "free", "used"}))
+
+
+def test_kernel_matches_dict_watch_reference(a1, a2, a3):
+    line = b.build_ts([f"s{i}" for i in range(5)], ["a", "b", "c", "d"],
+                      [("s0", "a", "s1"), ("s1", "b", "s2"),
+                       ("s2", "a", "s3"), ("s3", "c", "s4"),
+                       ("s4", "d", "s0")], "s0")
+    # events against the path order: the last position's edge values s1,
+    # and two closure rounds over the earlier positions value s2 and s3
+    backwards = b.build_ts(["s0", "s1", "s2", "s3"], ["a", "b", "c"],
+                           [("s0", "c", "s1"), ("s1", "a", "s2"),
+                            ("s2", "b", "s3")], "s0")
+    for ts in (a1, a2, a3, diamond(), line, backwards):
+        for net_type in KERNEL_TYPES:
+            for d in range(len(ts.events) + 1):
+                assert_kernel_matches_reference(ts, net_type, d)
+
+
+@given(small_ts(max_states=6, max_events=4),
+       st.frozensets(st.sampled_from(INTERACTION_ORDER), min_size=1),
+       st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_random_kernel_matches_dict_watch_reference(ts, net_type, d):
+    assert_kernel_matches_reference(ts, net_type, d)
+
+
+def test_triangle_t14_counters_are_pinned():
+    # construction 1.4 is the main user of swap; the pruned counts of its
+    # alpha query on the three pairs of three elements, yes at kappa 2 and
+    # no at kappa 1
+    pairs = [["X1", "X2"], ["X2", "X3"], ["X1", "X3"]]
+    got = []
+    for kappa in (2, 1):
+        art = b.reduce_instance(
+            "1.4", b.build_hs_instance(["X1", "X2", "X3"], pairs, kappa))
+        stats = b.EnumerationStats()
+        region = b.solve_atom(art.ts, art.default_type, art.d, art.alpha,
+                              stats=stats)
+        got.append((region is not None, stats.candidates_examined,
+                    stats.valid_regions))
+    assert got == [(True, 541540340, 1), (False, 488497976, 0)]
+
+
+# -- an independent oracle for {nop, swap} at d >= |E| ---------------------------
+
+NOP_SWAP = frozenset({"nop", "swap"})
+
+
+def gf2_separable(ts, s1, s2):
+    """Under {nop, swap} with no bound, regions are the solutions of
+    sup(dst) = sup(src) + [sig(e) = swap] over GF(2), one equation per edge.
+    ssp:s1,s2 is solvable unless sup(s1) + sup(s2) lies in the span of the
+    equations, found by Gaussian elimination on bitmask rows."""
+    var = {x: 1 << i for i, x in enumerate(ts.states + ts.events)}
+    basis = {}  # leading bit -> row
+
+    def reduce(row):
+        while row and row.bit_length() in basis:
+            row ^= basis[row.bit_length()]
+        return row
+
+    for src, e, dst in ts.edges:
+        row = reduce(var[src] ^ var[dst] ^ var[e])
+        if row:
+            basis[row.bit_length()] = row
+    return reduce(var[s1] ^ var[s2]) != 0
+
+
+def test_gf2_oracle_on_known_cases(a1):
+    assert gf2_separable(a1, "s0", "s1")
+    # two a steps swap the support twice or never, so s0 and s2 always
+    # share it, while either is separated from s1
+    aa = b.build_ts(["s0", "s1", "s2"], ["a"],
+                    [("s0", "a", "s1"), ("s1", "a", "s2")], "s0")
+    for s1, s2, want in (("s0", "s1", True), ("s0", "s2", False),
+                         ("s1", "s2", True)):
+        assert gf2_separable(aa, s1, s2) == want
+        found = b.solve_atom(aa, NOP_SWAP, 1, SspAtom(s1, s2))
+        assert (found is not None) == want
+
+
+@given(small_ts(max_states=6, max_events=4), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_nop_swap_verdicts_match_the_gf2_oracle(ts, extra):
+    d = len(ts.events) + extra
+    atoms = b.enumerate_atoms(ts)
+    # nop and swap are total, so no event/state pair is ever solved
+    want = [not isinstance(a, EsspAtom) and gf2_separable(ts, a.s1, a.s2)
+            for a in atoms]
+    got = [b.solve_atom(ts, NOP_SWAP, d, a) is not None for a in atoms]
+    assert got == want
+    outcome = b.solve_drts(ts, NOP_SWAP, d)
+    assert outcome.solvable == all(want)
+    assert outcome.unsolved_atoms == [a for a, ok in zip(atoms, want) if not ok]

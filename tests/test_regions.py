@@ -50,6 +50,17 @@ def test_expand_rejects_bad_signatures(a3):
         b.expand_region(a3, TYPE_1, 1, dict(SIG3, a="flip"), tree)
 
 
+def test_expand_rejects_an_initial_support_other_than_0_or_1(a1):
+    # on a1 the bit reaches interactions.apply, on one state it reaches
+    # nothing: both are malformed input, not an inconsistent signature
+    swap = frozenset({"nop", "swap"})
+    with pytest.raises(InvalidRegion, match="support maps 's0' to 2, not 0 or 1"):
+        b.expand_region(a1, swap, 2, {"a": "swap"}, b.spanning_tree(a1))
+    one = b.build_ts(["s"], [], [], "s")
+    with pytest.raises(InvalidRegion, match="support maps 's' to 2, not 0 or 1"):
+        b.expand_region(one, frozenset({"nop"}), 2, {}, b.spanning_tree(one))
+
+
 def test_expand_example_regions(a1, a2):
     r1 = b.expand_region(a1, frozenset({"nop", "inp", "swap"}), 0,
                          {"a": "swap"}, b.spanning_tree(a1))
