@@ -11,12 +11,8 @@ Fixing the nop-events contracts the TS, because nop forces equal support
 across an edge. Each subset is therefore explored on a quotient graph
 maintained by a rollback union-find, its assignments as an odometer over
 positions for both initial-support hypotheses: two bitmasks over quotient
-classes each (R valued, O valued 1), snapshotted per position. Propagation
-is forward, an edge counting once its source class is valued, so abandoned
-candidate ranges are accounted for arithmetically from the exact position
-where a hypothesis dies, and candidates_examined stays exact even on an
-early stop: a full drain equals candidate_count_formula whenever nop is in
-the type.
+classes each (R valued, O valued 1), snapshotted per position. Pruning
+only skips candidates; the counters come from the answer's rank.
 """
 
 from __future__ import annotations
@@ -46,11 +42,13 @@ def candidate_count_formula(num_events: int, num_non_nop: int, d: int) -> int:
 
 @dataclass
 class EnumerationStats:
-    """Search effort counters.
+    """Counters of one search, read off its answer.
 
-    candidates_examined counts candidates either visited or disposed of by
-    a sound pruning argument; it never exceeds candidate_count_formula and
-    reaches it exactly on a full drain with nop in the type.
+    candidates_examined is the 1-based canonical rank of the answer: the
+    region solve_atom found, or solve_drts's last admissible region (0 with
+    no atoms). With no answer or after a full drain it is the space size,
+    candidate_count_formula with nop in the type. valid_regions counts the
+    regions the search produced.
     """
     candidates_examined: int = 0
     valid_regions: int = 0
@@ -93,7 +91,6 @@ class _Search:
         net_type: frozenset[str],
         d: int,
         atom: Optional[SeparationAtom] = None,
-        stats: Optional[EnumerationStats] = None,
     ):
         if d < 0:
             raise ValueError("restriction bound must be >= 0")
@@ -108,13 +105,12 @@ class _Search:
             self.edges_by_event[self.event_idx[e]].append(
                 (self.state_idx[src], self.state_idx[dst]))
         self.non_nop = interactions.non_nop(net_type)
-        self.nn = len(self.non_nop)
-        self.nop_in_type = "nop" in net_type
-        self.d_eff = min(d, self.n_events)
+        # the subset sizes searched: without nop every event is chosen
+        self.levels = [c for c in range(min(d, self.n_events) + 1)
+                       if "nop" in net_type or c == self.n_events]
         self.init_idx = self.state_idx[ts.initial]
         self.all_states = (1 << self.n_states) - 1
         self.itab = {i: (apply_i(i, 0), apply_i(i, 1)) for i in INTERACTION_ORDER}
-        self.stats = stats if stats is not None else EnumerationStats()
 
         # rollback union-find (union by size, no path compression)
         self.uf_parent = list(range(self.n_states))
@@ -235,17 +231,26 @@ class _Search:
         return Region(support=support, signature=signature)
 
     def stream(self) -> Iterator[Candidate]:
-        for count in range(0, self.d_eff + 1):
-            if not self.nop_in_type and count < self.n_events:
-                # events outside the subset would need nop
-                continue
+        for count in self.levels:
             yield from self._subset_dfs(count)
 
-    def _dispose(self, n_subsets: int, count: int) -> None:
-        self.stats.candidates_examined += 2 * n_subsets * self.nn ** count
+    def rank(self, cand: Optional[Candidate]) -> int:
+        """1-based position of cand in canonical order; None: the space size."""
+        n, nn = self.n_events, len(self.non_nop)
+        c = n + 1 if cand is None else len(cand[1])
+        below = 2 * sum(comb(n, i) * nn ** i for i in self.levels if i < c)
+        if cand is None:
+            return below
+        mask, chosen, sigs = cand
+        # the subset's lexicographic rank (combinatorial number system),
+        # then the assignment as base-nn digits, position 0 most significant
+        r = comb(n, c) - 1 - sum(comb(n - 1 - j, c - k)
+                                 for k, j in enumerate(chosen))
+        for iname in sigs:
+            r = r * nn + self.non_nop.index(iname)
+        return below + 2 * r + (mask >> self.init_idx & 1) + 1
 
     def _subset_dfs(self, count: int) -> Iterator[Candidate]:
-        n = self.n_events
         forced = self.forced_event
         chosen: list[int] = []
         # one union-find trail mark per open level; j is the next chosen
@@ -254,26 +259,20 @@ class _Search:
         j = 0
         while True:
             slots = count - len(chosen)
-            if slots and j <= n - slots:
+            if slots and j <= self.n_events - slots:
                 chosen.append(j)
                 marks.append(len(self.uf_trail))
                 j += 1
                 continue
-            if not slots:
-                if forced is not None and forced not in chosen:
-                    self._dispose(1, count)
-                else:
-                    self._join_suffix(j)
-                    if self.atom is not None and self._atom_pruned():
-                        self._dispose(1, count)
-                    else:
-                        yield from self._assignments(chosen)
+            if not slots and (forced is None or forced in chosen):
+                self._join_suffix(j)
+                if self.atom is None or not self._atom_pruned():
+                    yield from self._assignments(chosen)
             self._rollback_uf(marks.pop())
             # back to the parent level, where the event just tried stays
             # contracted for the later choices
             while chosen:
                 j = chosen.pop()
-                slots = count - len(chosen)
                 if j != forced:
                     self._contract(j)
                     if self.atom is None or not self._atom_pruned():
@@ -281,7 +280,6 @@ class _Search:
                         break
                 # without the atom's event sig(e)=nop never solves it; a
                 # contraction that merges the atom does for every later choice
-                self._dispose(comb(n - j - 1, slots), count)
                 self._rollback_uf(marks.pop())
             else:
                 return
@@ -293,16 +291,12 @@ class _Search:
         find = self._find
         itab = self.itab
         rule = _RULE
-        stats = self.stats
-        nn = self.nn
 
         if count == 0:
             # the all-nop candidates: constant support over one big class
-            # (never reached in atom mode: _subset_dfs disposes of it)
-            for h in (0, 1):
-                stats.candidates_examined += 1
-                stats.valid_regions += 1
-                yield (self.all_states if h else 0, (), ())
+            # (never reached in atom mode: _subset_dfs prunes it)
+            yield 0, (), ()
+            yield self.all_states, (), ()
             return
 
         # each position's quotient edges over class bits (1 << root): its
@@ -341,7 +335,6 @@ class _Search:
                 allowed = tuple(i for i in allowed if i not in ("inp", "out"))
             cands[e_pos] = allowed
         if any(not c for c in cands):
-            self._dispose(1, count)
             return
 
         atom_mode = self.atom is not None
@@ -427,8 +420,6 @@ class _Search:
         init = 1 << find(self.init_idx)
         entry = [[(init, 0), (init, init)]] + [[]] * last
         nxt = [0] * count
-        # sig at the atom's event outside the partials never solves
-        stats.candidates_examined += 2 * (nn - len(cands[0])) * nn ** last
         p = 0
         while p >= 0:
             k = nxt[p]
@@ -443,22 +434,16 @@ class _Search:
                     st = advance(st[0], st[1], p)
                     if st is not None and atom_mode and killed(*st, p):
                         st = None
-                    if st is None:
-                        stats.candidates_examined += nn ** (last - p)
                 hyps.append(st)
             if p == last:
                 for st in hyps:
                     if st is not None:
-                        stats.candidates_examined += 1
-                        stats.valid_regions += 1
                         # all classes valued: killed() proved it solves
                         yield candidate(st[1])
             elif hyps != [None, None]:
                 p += 1
                 entry[p] = hyps
                 nxt[p] = 0
-                stats.candidates_examined += (2 - hyps.count(None)) * (
-                    nn - len(cands[p])) * nn ** (last - p)
 
 
 def enumerate_valid_regions(
@@ -467,9 +452,19 @@ def enumerate_valid_regions(
     d: int,
     stats: Optional[EnumerationStats] = None,
 ) -> Iterator[Region]:
-    """All d-restricted regions of ts in canonical order, lazily."""
-    search = _Search(ts, net_type, d, stats=stats)
-    return map(search.region, search.stream())
+    """All d-restricted regions of ts in canonical order, lazily; stats
+    holds the rank of the region last yielded, the space size once drained."""
+    search = _Search(ts, net_type, d)
+    counters = stats if stats is not None else EnumerationStats()
+
+    def regions() -> Iterator[Region]:
+        for cand in search.stream():
+            counters.valid_regions += 1
+            counters.candidates_examined = search.rank(cand)
+            yield search.region(cand)
+        counters.candidates_examined = search.rank(None)
+
+    return regions()
 
 
 def solve_atom(
@@ -486,9 +481,11 @@ def solve_atom(
     """
     validate_atom(ts, atom)
     t0 = time.monotonic()
-    search = _Search(ts, net_type, d, atom=atom, stats=stats)
+    search = _Search(ts, net_type, d, atom=atom)
     found = next(search.stream(), None)
     if stats is not None:
+        stats.candidates_examined = search.rank(found)
+        stats.valid_regions = int(found is not None)
         stats.elapsed = time.monotonic() - t0
     return None if found is None else search.region(found)
 
@@ -594,9 +591,10 @@ def solve_drts(
     solvers: list[Candidate] = []
     witness: dict[SeparationAtom, int] = {}
     if atoms:
-        search = _Search(ts, net_type, d, stats=stats)
+        search = _Search(ts, net_type, d)
         index = _AtomIndex(ts, atoms)
         for cand in search.stream():
+            stats.valid_regions += 1
             hits = index.hits(cand)
             if not hits:
                 continue
@@ -609,6 +607,8 @@ def solve_drts(
             index.remove(hits)
             if len(witness) == len(atoms):
                 break
+        stats.candidates_examined = search.rank(
+            solvers[-1] if len(witness) == len(atoms) else None)
     stats.elapsed = time.monotonic() - t0
     outcome = SynthesisOutcome(
         solvable=len(witness) == len(atoms),

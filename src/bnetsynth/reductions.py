@@ -461,7 +461,9 @@ def parse_hs(text: str) -> HittingSetInstance:
         elif key == ".kappa":
             if kappa is not None:
                 raise ParseError(f"line {lineno}: duplicate .kappa")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            # isdigit alone admits every Unicode digit, superscripts too
+            if len(tokens) != 2 or not (tokens[1].isascii()
+                                        and tokens[1].isdigit()):
                 raise ParseError(f"line {lineno}: .kappa needs one integer")
             kappa = int(tokens[1])
         else:

@@ -25,6 +25,11 @@ class InvalidRegion(ValueError):
 
 @dataclass(frozen=True)
 class Region:
+    """A support over the states and a signature over the events.
+
+    Frozen but not hashable: both fields are dicts, so hash() raises
+    TypeError. implicit_form(region, ts) is the hashable key.
+    """
     support: dict[str, int]  # total over states
     signature: dict[str, str]  # total over events
 

@@ -1,10 +1,11 @@
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 import bnetsynth as b
+from bnetsynth.interactions import INTERACTION_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,6 +29,27 @@ def brute_force_regions(ts, net_type, d=None):
             if region is not None and (d is None or
                                        b.restriction_count(region) <= d):
                 found.append(region)
+    return found
+
+
+def brute_force_candidates(ts, net_type, d):
+    """Reference for the canonical order: every candidate, valid or not, as
+    (initial support, signature over ts.events). Fewer non-nop events first
+    (all of them when nop is not in the type), then event subsets
+    lexicographically, then assignments with the first event most
+    significant in interaction order, then initial support 0 before 1."""
+    non_nop = [i for i in INTERACTION_ORDER if i in net_type and i != "nop"]
+    n = len(ts.events)
+    found = []
+    for c in range(min(d, n) + 1):
+        if c < n and "nop" not in net_type:
+            continue
+        for subset in combinations(range(n), c):
+            for sigs in product(non_nop, repeat=c):
+                sig = ["nop"] * n
+                for j, iname in zip(subset, sigs):
+                    sig[j] = iname
+                found += [(supinit, tuple(sig)) for supinit in (0, 1)]
     return found
 
 

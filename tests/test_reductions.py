@@ -360,6 +360,11 @@ def test_parse_hs_normalizes_and_validates():
         b.parse_hs(".model hs\n.universe X1\n.kappa 1\n.kappa 2\n")
     with pytest.raises(ParseError, match=".kappa needs one integer"):
         b.parse_hs(".model hs\n.universe X1\n.kappa -1\n")
+    # ASCII digits only: an Arabic-Indic three and a superscript two are not
+    for digit in ("\u0663", "\u00b2"):
+        with pytest.raises(ParseError,
+                           match="line 3: .kappa needs one integer"):
+            b.parse_hs(f".model hs\n.universe X1\n.kappa {digit}\n")
     with pytest.raises(ParseError, match="unknown element"):
         b.parse_hs(".model hs\n.universe X1\n.set A X9\n.kappa 1\n")
 
