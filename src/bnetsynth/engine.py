@@ -9,10 +9,12 @@ interaction order, then initial support 0 before 1.
 
 Fixing the nop-events contracts the TS, because nop forces equal support
 across an edge. Each subset is therefore explored on a quotient graph
-maintained by a rollback union-find, its assignments as an odometer over
-positions for both initial-support hypotheses: two bitmasks over quotient
-classes each (R valued, O valued 1), snapshotted per position. Pruning
-only skips candidates; the counters come from the answer's rank.
+maintained by a rollback union-find; a spanning forest of the edges of
+each event suffix, built once, completes a subset by the fewest unions.
+Its assignments are an odometer over positions for both initial-support
+hypotheses: two bitmasks over quotient classes each (R valued, O valued
+1), snapshotted per position. Pruning only skips candidates; the
+counters come from the answer's rank.
 """
 
 from __future__ import annotations
@@ -110,16 +112,23 @@ class _Search:
                        if "nop" in net_type or c == self.n_events]
         self.init_idx = self.state_idx[ts.initial]
         self.all_states = (1 << self.n_states) - 1
-        self.itab = {i: (apply_i(i, 0), apply_i(i, 1)) for i in INTERACTION_ORDER}
 
         # rollback union-find (union by size, no path compression)
         self.uf_parent = list(range(self.n_states))
         self.uf_size = [1] * self.n_states
         self.uf_trail: list[tuple[int, int]] = []
 
-        # components of the edges labeled by events >= j, for completing a
-        # chosen subset in one O(|S|) join instead of edge-by-edge unions
-        self.suffix_comp = self._build_suffix_components()
+        # forest[:forest_end[j]] spans the classes of the edges of events
+        # >= j: built from the last event down, it keeps each edge that
+        # merges two classes, at most |S| - 1 in all
+        self.forest: list[tuple[int, int]] = []
+        self.forest_end = [0] * (self.n_events + 1)
+        for j in range(self.n_events - 1, -1, -1):
+            for u, v in self.edges_by_event[j]:
+                if self._union(u, v):
+                    self.forest.append((u, v))
+            self.forest_end[j] = len(self.forest)
+        self._rollback_uf(0)
 
         self.atom = atom
         self.forced_event: Optional[int] = None
@@ -130,21 +139,23 @@ class _Search:
             self.forced_event = self.event_idx[atom.event]
             self.atom_s = self.state_idx[atom.state]
             e_edges = self.edges_by_event[self.forced_event]
-            cand = [i for i in self.non_nop if i in PARTIAL]
-            self.essp_cands = tuple(cand)
+            cand = tuple(i for i in self.non_nop if i in PARTIAL)
+            self.essp_cands = cand
+            # the partials that give the value they need (used/free), the
+            # only ones a quotient self-loop on the event leaves
+            self.essp_keeps = tuple(i for i in cand
+                                    if _RULE[i][0] == _RULE[i][1])
             # A merge of the atom state with a source of its event fixes
             # sup(state) at the value where sig(event) is defined, for any
-            # partial candidate; if every candidate is defined at the
-            # target value too (used/free), target merges are just as fatal.
+            # partial candidate; if every candidate keeps that value, the
+            # target has it too and target merges are just as fatal.
             prune_nodes = {u for u, _ in e_edges}
-            if cand and all(self.itab[i][self.itab[i][_RULE[i][0]]] is not None
-                            for i in cand):
+            if cand and self.essp_keeps == cand:
                 prune_nodes.update(v for _, v in e_edges)
             self.atom_prune_nodes = sorted(prune_nodes)
             # inp/out need different support on the event's two sides, so a
             # source/target merge anywhere rules the whole subset out
-            self.fatal_selfloop = bool(cand) and all(
-                i in ("inp", "out") for i in cand)
+            self.fatal_selfloop = bool(cand) and not self.essp_keeps
 
     # -- union-find ---------------------------------------------------------
 
@@ -154,15 +165,17 @@ class _Search:
             x = p[x]
         return x
 
-    def _union(self, a: int, b: int) -> None:
+    def _union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; False when they are one already."""
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
-            return
+            return False
         if self.uf_size[ra] < self.uf_size[rb]:
             ra, rb = rb, ra
         self.uf_parent[rb] = ra
         self.uf_size[ra] += self.uf_size[rb]
         self.uf_trail.append((rb, ra))
+        return True
 
     def _rollback_uf(self, mark: int) -> None:
         trail = self.uf_trail
@@ -177,32 +190,11 @@ class _Search:
         for u, v in self.edges_by_event[event]:
             self._union(u, v)
 
-    def _build_suffix_components(self) -> list[list[int]]:
-        comp: list[list[int]] = [list(range(self.n_states))]
-        parent = list(range(self.n_states))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for j in range(self.n_events - 1, -1, -1):
-            for u, v in self.edges_by_event[j]:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
-            comp.append([find(s) for s in range(self.n_states)])
-        comp.reverse()  # comp[j] covers events j..n-1; comp[n] is identity
-        return comp
-
     def _join_suffix(self, j: int) -> None:
-        reps = self.suffix_comp[j]
+        """Contract every event >= j, by the forest's edges alone."""
         union = self._union
-        for s in range(self.n_states):
-            r = reps[s]
-            if r != s:
-                union(s, r)
+        for u, v in self.forest[:self.forest_end[j]]:
+            union(u, v)
 
     def _atom_pruned(self) -> bool:
         """True when no region of the current contraction can solve the atom."""
@@ -289,7 +281,6 @@ class _Search:
     def _assignments(self, chosen: list[int]) -> Iterator[Candidate]:
         count = len(chosen)
         find = self._find
-        itab = self.itab
         rule = _RULE
 
         if count == 0:
@@ -329,11 +320,9 @@ class _Search:
         e_pos = -1
         if self.forced_event is not None:
             e_pos = chosen.index(self.forced_event)
-            allowed = self.essp_cands
-            if any(bu & bv for bu, bv in succ[e_pos].items()):
-                # a quotient self-loop rules out the value-changing partials
-                allowed = tuple(i for i in allowed if i not in ("inp", "out"))
-            cands[e_pos] = allowed
+            # a quotient self-loop rules out the value-changing partials
+            loop = any(bu & bv for bu, bv in succ[e_pos].items())
+            cands[e_pos] = self.essp_keeps if loop else self.essp_cands
         if any(not c for c in cands):
             return
 
@@ -396,8 +385,9 @@ class _Search:
             if atom_pair:
                 return (R & atom_pair == atom_pair
                         and O & atom_pair in (0, atom_pair))
+            # cands[e_pos] holds partials only: defined just at their need
             return bool(R & atom_bit and e_pos <= p and
-                        itab[sig[e_pos]][1 if O & atom_bit else 0] is not None)
+                        rule[sig[e_pos]][0] == (1 if O & atom_bit else 0))
 
         # class bit -> bitmask of its states, filled at the subset's first leaf
         cls_mask: dict[int, int] = {}

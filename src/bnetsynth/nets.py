@@ -105,8 +105,11 @@ def reachability_graph(net: BooleanNet, cap: int = DEFAULT_REACH_CAP) -> Transit
 
     State names are canonical marking encodings. Transitions that never fire
     are omitted from the event set. Raises InvalidNet when more than `cap`
-    markings are reached.
+    markings are reached, the initial one included, and ValueError when
+    `cap` is below 1.
     """
+    if cap < 1:
+        raise ValueError(f"reachability cap must be >= 1, got {cap}")
     init = dict(net.initial_marking)
     init_id = marking_id(net, init)
     seen: dict[str, dict[str, int]] = {init_id: init}

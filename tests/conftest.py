@@ -1,4 +1,6 @@
 import random
+import time
+from contextlib import contextmanager
 from itertools import combinations, product
 from pathlib import Path
 
@@ -12,9 +14,18 @@ GOLDEN = Path(__file__).parent / "golden"
 TYPE_1 = frozenset({"nop", "swap", "used", "set"})
 TYPE_0 = frozenset({"nop", "inp", "free"})
 
-# the demo hitting-set instance: its minimum hitting sets have two elements
-DEMO_HS = (".model hs\n.universe X1 X2 X3 X4\n.set S1 X1 X2\n.set S2 X2 X3\n"
-           ".set S3 X1 X4\n.set S4 X1 X3 X4\n.kappa 2\n")
+# the demo hitting-set instance, as the benchmark reads it: its minimum
+# hitting sets have two elements
+DEMO_HS = (Path(__file__).parent.parent / "perfbench" / "data" /
+           "demo.hs").read_text(encoding="utf-8")
+
+
+@contextmanager
+def budget(seconds):
+    start = time.monotonic()
+    yield
+    elapsed = time.monotonic() - start
+    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
 
 def brute_force_regions(ts, net_type, d=None):

@@ -7,8 +7,6 @@ shows up as exactly one failing line.
 """
 
 import itertools
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -16,19 +14,11 @@ import pytest
 import bnetsynth as b
 from bnetsynth.cli import main
 from bnetsynth.ts import SpanningTree
-from conftest import TYPE_0, TYPE_1, brute_force_regions
+from conftest import TYPE_0, TYPE_1, brute_force_regions, budget
 
 GOLDEN = Path(__file__).parent / "golden"
 
 TYPE_ALL = frozenset(b.INTERACTION_ORDER)
-
-
-@contextmanager
-def budget(seconds):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
 
 def test_criterion_01_interaction_table():

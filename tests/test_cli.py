@@ -8,7 +8,7 @@ import pytest
 
 import bnetsynth as b
 from bnetsynth.cli import main
-from conftest import DEMO_HS
+from conftest import DEMO_HS, budget
 
 A1_TS = ".model ts\n.initial s0\n.edge s0 a s1\n.edge s1 a s0\n"
 A2_TS = ".model ts\n.initial r0\n.edge r0 b r1\n.edge r1 c r0\n"
@@ -255,6 +255,17 @@ def test_reach_cap_is_an_error(files, capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+def test_reach_rejects_a_cap_below_one(files, capsys):
+    put, tmp = files
+    net = put("dead.net", ".model bnet\n.type nop,inp\n.place p 0\n"
+              ".transition t\n.flow p t inp\n")
+    code = run("reach", "--net", net, "--out", str(tmp / "rg.ts"), "--cap", "-4")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: reachability cap must be >= 1, got -4\n"
+    assert not (tmp / "rg.ts").exists()
+
+
 def test_errors_exit_2(files, capsys):
     put, tmp = files
     ts = put("a1.ts", A1_TS)
@@ -298,16 +309,18 @@ def test_atom_on_a_long_line(files, capsys):
     assert ".sig e1149 swap" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n", [700, 1200])
+@pytest.mark.parametrize("n", [700, 1200, 4000])
 def test_atom_with_every_event_swapped_on_a_long_line(files, capsys, n):
     # one region with n non-nop events: the subset and assignment searches
-    # keep their positions on explicit stacks, not on the call stack
+    # keep their positions on explicit stacks, not on the call stack, and
+    # the search's set-up grows with |E| + |S|, not |E| * |S|
     put, _ = files
     edges = "".join(f".edge s{i:04d} e{i:04d} s{i + 1:04d}\n"
                     for i in range(n))
     ts = put("line.ts", ".model ts\n.initial s0000\n" + edges)
-    assert run("atom", "--ts", ts, "--type", "swap", "--d", str(n),
-               "--atom", "ssp:s0000,s0001", "--stats") == 0
+    with budget(2.0):
+        assert run("atom", "--ts", ts, "--type", "swap", "--d", str(n),
+                   "--atom", "ssp:s0000,s0001", "--stats") == 0
     out = capsys.readouterr()
     assert out.out.count(" swap\n") == n
     assert out.err.startswith("candidates_examined=1\nvalid_regions=1\n")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bnetsynth as b
 from bnetsynth.engine import Candidate, _Search
-from bnetsynth.interactions import INTERACTION_ORDER
+from bnetsynth.interactions import INTERACTION_ORDER, apply
 from bnetsynth.ts import EsspAtom, SspAtom
 from conftest import (TYPE_0, TYPE_1, brute_force_candidates,
                       brute_force_regions)
@@ -456,6 +456,58 @@ def test_random_drts_matches_atom_major_reference(ts, net_type, d, shrink):
     assert_matches_atom_major(ts, net_type, d, shrink)
 
 
+# -- the suffix forest against the components it stands for ---------------------
+
+def suffix_classes(ts, j):
+    """The states of ts partitioned by the edges of events >= j, by BFS."""
+    pos = {e: i for i, e in enumerate(ts.events)}
+    adj = {s: [] for s in ts.states}
+    for u, e, v in ts.edges:
+        if pos[e] >= j:
+            adj[u].append(v)
+            adj[v].append(u)
+    classes, seen = set(), set()
+    for s in ts.states:
+        if s in seen:
+            continue
+        comp, queue = {s}, [s]
+        while queue:
+            for t in adj[queue.pop()]:
+                if t not in comp:
+                    comp.add(t)
+                    queue.append(t)
+        seen |= comp
+        classes.add(frozenset(comp))
+    return classes
+
+
+def assert_forest_spans_suffixes(ts):
+    for j in range(len(ts.events) + 1):
+        search = _Search(ts, TYPE_1, 0)
+        assert len(search.forest) <= len(ts.states) - 1
+        search._join_suffix(j)
+        got: dict[int, set[str]] = {}
+        for i, s in enumerate(ts.states):
+            got.setdefault(search._find(i), set()).add(s)
+        assert set(map(frozenset, got.values())) == suffix_classes(ts, j), j
+
+
+def test_forest_spans_each_event_suffix(a1, a2, a3):
+    # a line whose events run against canonical order along the path
+    line = b.build_ts([f"s{i}" for i in range(10)],
+                      [f"e{4 * i % 9}" for i in range(9)],
+                      [(f"s{i}", f"e{4 * i % 9}", f"s{i + 1}")
+                       for i in range(9)], "s0")
+    for ts in (a1, a2, a3, diamond(), line):
+        assert_forest_spans_suffixes(ts)
+
+
+@given(small_ts(max_states=6, max_events=5))
+@settings(max_examples=80, deadline=None)
+def test_random_forest_spans_each_event_suffix(ts):
+    assert_forest_spans_suffixes(ts)
+
+
 # -- the bitmask assignment kernel against the dict/watch-list search -----------
 
 class DictWatchSearch(_Search):
@@ -467,7 +519,7 @@ class DictWatchSearch(_Search):
     def _assignments(self, chosen: list[int]) -> Iterator[Candidate]:
         count = len(chosen)
         find = self._find
-        itab = self.itab
+        itab = {i: (apply(i, 0), apply(i, 1)) for i in INTERACTION_ORDER}
 
         if count == 0:
             # the all-nop candidates: constant support over one big class

@@ -65,6 +65,17 @@ def test_reachability_cap():
         b.reachability_graph(net, cap=4)
 
 
+def test_reachability_cap_counts_the_initial_marking():
+    # t never fires: inp needs a token that p never holds
+    net = b.build_net(["p"], ["t"], frozenset({"nop", "inp"}),
+                      {("p", "t"): "inp"}, {"p": 0})
+    rg = b.reachability_graph(net, cap=1)
+    assert (rg.states, rg.events, rg.edges) == (("m0",), (), ())
+    for cap in (0, -4):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            b.reachability_graph(net, cap=cap)
+
+
 def test_reachability_drops_dead_transitions():
     # u can never fire: its only non-nop entry needs a token that never arrives
     net = b.build_net(["p", "q"], ["t", "u"], frozenset({"nop", "swap", "used"}),
