@@ -9,11 +9,17 @@ interaction order, then initial support 0 before 1.
 
 Fixing the nop-events contracts the TS, because nop forces equal support
 across an edge. Each subset is therefore explored on a quotient graph
-maintained by a rollback union-find; a spanning forest of the edges of
-each event suffix, built once, completes a subset by the fewest unions.
-Its assignments are an odometer over positions for both initial-support
-hypotheses: two bitmasks over quotient classes each (R valued, O valued
-1), snapshotted per position. Pruning only skips candidates; the
+maintained by a rollback union-find that keeps each class's states as a
+bitmask. The last chosen event is placed by divide and conquer: contract
+one half of the remaining events, recurse into the other, roll back, and
+swap, so each event is contracted O(log |E|) times per prefix rather than
+once per leaf, and the leaves still come out in ascending order.
+A subset's assignments are an odometer over positions for both initial-
+support hypotheses: two bitmasks over quotient classes each (R valued, O
+valued 1), snapshotted per position. Pruning only skips candidates that
+cannot solve the atom. For an essp atom, when every partial interaction of
+the type changes the value (inp, out), that rules out every contraction
+with a class holding both a source and a target of the atom's event. The
 counters come from the answer's rank.
 """
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import comb
 from typing import Iterator, Optional
 
@@ -83,6 +90,9 @@ def _rule(i: str) -> tuple[Optional[int], Optional[int]]:
 # the source value kept or flipped
 _RULE = {i: _rule(i) for i in INTERACTION_ORDER}
 
+# binary digits as the byte values 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 class _Search:
     """One enumeration run over a TS, a type, and a bound."""
@@ -111,24 +121,15 @@ class _Search:
         self.levels = [c for c in range(min(d, self.n_events) + 1)
                        if "nop" in net_type or c == self.n_events]
         self.init_idx = self.state_idx[ts.initial]
+        self.constant_support = [dict.fromkeys(self.states, v) for v in (0, 1)]
+        self.nop_signature = dict.fromkeys(self.events, "nop")
         self.all_states = (1 << self.n_states) - 1
 
-        # rollback union-find (union by size, no path compression)
+        # rollback union-find (union by size, no path compression);
+        # uf_mask[root] is the bitmask of the states in root's class
         self.uf_parent = list(range(self.n_states))
-        self.uf_size = [1] * self.n_states
+        self.uf_mask = [1 << s for s in range(self.n_states)]
         self.uf_trail: list[tuple[int, int]] = []
-
-        # forest[:forest_end[j]] spans the classes of the edges of events
-        # >= j: built from the last event down, it keeps each edge that
-        # merges two classes, at most |S| - 1 in all
-        self.forest: list[tuple[int, int]] = []
-        self.forest_end = [0] * (self.n_events + 1)
-        for j in range(self.n_events - 1, -1, -1):
-            for u, v in self.edges_by_event[j]:
-                if self._union(u, v):
-                    self.forest.append((u, v))
-            self.forest_end[j] = len(self.forest)
-        self._rollback_uf(0)
 
         self.atom = atom
         self.forced_event: Optional[int] = None
@@ -142,20 +143,27 @@ class _Search:
             cand = tuple(i for i in self.non_nop if i in PARTIAL)
             self.essp_cands = cand
             # the partials that give the value they need (used/free), the
-            # only ones a quotient self-loop on the event leaves
+            # only ones a class holding a source and a target of the event
+            # leaves
             self.essp_keeps = tuple(i for i in cand
                                     if _RULE[i][0] == _RULE[i][1])
+            # the event's sources as state indices, its targets as a bitmask
+            self.e_sources = sorted({u for u, _ in e_edges})
+            self.e_targets = sum(1 << v for v in {v for _, v in e_edges})
             # A merge of the atom state with a source of its event fixes
             # sup(state) at the value where sig(event) is defined, for any
             # partial candidate; if every candidate keeps that value, the
             # target has it too and target merges are just as fatal.
-            prune_nodes = {u for u, _ in e_edges}
-            if cand and self.essp_keeps == cand:
-                prune_nodes.update(v for _, v in e_edges)
-            self.atom_prune_nodes = sorted(prune_nodes)
-            # inp/out need different support on the event's two sides, so a
-            # source/target merge anywhere rules the whole subset out
-            self.fatal_selfloop = bool(cand) and not self.essp_keeps
+            self.atom_prune_mask = sum(1 << u for u in self.e_sources)
+            if not cand:
+                # without a partial in the type nothing solves the atom
+                self.atom_prune_mask = self.all_states
+            elif self.essp_keeps == cand:
+                self.atom_prune_mask |= self.e_targets
+            # inp/out need one value at every source of the event and give
+            # the other at every target, so a class holding a source and a
+            # target rules the whole contraction out
+            self.fatal_overlap = bool(cand) and not self.essp_keeps
 
     # -- union-find ---------------------------------------------------------
 
@@ -165,49 +173,40 @@ class _Search:
             x = p[x]
         return x
 
-    def _union(self, a: int, b: int) -> bool:
-        """Merge the classes of a and b; False when they are one already."""
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return False
-        if self.uf_size[ra] < self.uf_size[rb]:
-            ra, rb = rb, ra
-        self.uf_parent[rb] = ra
-        self.uf_size[ra] += self.uf_size[rb]
-        self.uf_trail.append((rb, ra))
-        return True
+    def _contract(self, event: int) -> None:
+        """Merge the classes at both ends of each of the event's edges."""
+        parent, cls, trail = self.uf_parent, self.uf_mask, self.uf_trail
+        for u, v in self.edges_by_event[event]:
+            while parent[u] != u:  # _find, inlined for speed
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                continue
+            if cls[u].bit_count() < cls[v].bit_count():
+                u, v = v, u
+            parent[v] = u
+            cls[u] |= cls[v]
+            trail.append((v, u))
 
     def _rollback_uf(self, mark: int) -> None:
-        trail = self.uf_trail
-        parent = self.uf_parent
-        size = self.uf_size
-        while len(trail) > mark:
-            rb, ra = trail.pop()
+        parent, cls, trail = self.uf_parent, self.uf_mask, self.uf_trail
+        for rb, ra in reversed(trail[mark:]):
             parent[rb] = rb
-            size[ra] -= size[rb]
-
-    def _contract(self, event: int) -> None:
-        for u, v in self.edges_by_event[event]:
-            self._union(u, v)
-
-    def _join_suffix(self, j: int) -> None:
-        """Contract every event >= j, by the forest's edges alone."""
-        union = self._union
-        for u, v in self.forest[:self.forest_end[j]]:
-            union(u, v)
+            cls[ra] ^= cls[rb]
+        del trail[mark:]
 
     def _atom_pruned(self) -> bool:
         """True when no region of the current contraction can solve the atom."""
         find = self._find
         if isinstance(self.atom, SspAtom):
             return find(self.atom_s1) == find(self.atom_s2)
-        fs = find(self.atom_s)
-        for x in self.atom_prune_nodes:
-            if find(x) == fs:
-                return True
-        if self.fatal_selfloop:
-            for u, v in self.edges_by_event[self.forced_event]:
-                if find(u) == find(v):
+        cls = self.uf_mask
+        if cls[find(self.atom_s)] & self.atom_prune_mask:
+            return True
+        if self.fatal_overlap:
+            for u in self.e_sources:
+                if cls[find(u)] & self.e_targets:
                     return True
         return False
 
@@ -216,8 +215,14 @@ class _Search:
     def region(self, cand: Candidate) -> Region:
         """The Region a compact candidate stands for."""
         mask, chosen, sigs = cand
-        support = {s: mask >> i & 1 for i, s in enumerate(self.states)}
-        signature = dict.fromkeys(self.events, "nop")
+        # copy the constant support that most states agree with, then set
+        # the others (bin() lists bits highest first, so reverse it)
+        major = int(2 * mask.bit_count() > self.n_states)
+        others = mask ^ self.all_states if major else mask
+        bits = bin(others)[:1:-1].encode().translate(_BITS)
+        support = self.constant_support[major].copy()
+        support.update(zip(compress(self.states, bits), repeat(1 - major)))
+        signature = self.nop_signature.copy()
         for j, iname in zip(chosen, sigs):
             signature[self.events[j]] = iname
         return Region(support=support, signature=signature)
@@ -243,23 +248,39 @@ class _Search:
         return below + 2 * r + (mask >> self.init_idx & 1) + 1
 
     def _subset_dfs(self, count: int) -> Iterator[Candidate]:
-        forced = self.forced_event
+        n, forced = self.n_events, self.forced_event
+        mark = len(self.uf_trail)
+        if not count:
+            # every event nop (without the atom's event, no solver)
+            if forced is None:
+                for e in range(n):
+                    self._contract(e)
+                if self.atom is None or not self._atom_pruned():
+                    yield from self._assignments([])
+            self._rollback_uf(mark)
+            return
         chosen: list[int] = []
         # one union-find trail mark per open level; j is the next chosen
         # event to try at the deepest level (lexicographic subset order)
-        marks = [len(self.uf_trail)]
+        marks = [mark]
         j = 0
         while True:
             slots = count - len(chosen)
-            if slots and j <= self.n_events - slots:
+            if slots > 1 and j <= n - slots:
                 chosen.append(j)
                 marks.append(len(self.uf_trail))
                 j += 1
                 continue
-            if not slots and (forced is None or forced in chosen):
-                self._join_suffix(j)
-                if self.atom is None or not self._atom_pruned():
-                    yield from self._assignments(chosen)
+            if slots == 1:
+                if forced is None or forced in chosen:
+                    yield from self._last_slot(chosen, j, n)
+                else:
+                    # the atom's event is never left behind (below), so it
+                    # is >= j and must fill the last slot
+                    for e in range(j, n):
+                        if e != forced:
+                            self._contract(e)
+                    yield from self._last_slot(chosen, forced, forced + 1)
             self._rollback_uf(marks.pop())
             # back to the parent level, where the event just tried stays
             # contracted for the later choices
@@ -275,6 +296,33 @@ class _Search:
                 self._rollback_uf(marks.pop())
             else:
                 return
+
+    def _last_slot(self, chosen: list[int], lo: int,
+                   hi: int) -> Iterator[Candidate]:
+        """The subsets chosen + [x] for x in lo..hi-1, ascending.
+
+        The events of [lo, hi) other than x must be contracted at x's
+        leaf: contract the right half and recurse into the left, roll back,
+        then the other way round. A contraction that rules the atom out
+        skips its whole range.
+        """
+        if self.atom is not None and self._atom_pruned():
+            return
+        if hi - lo == 1:
+            chosen.append(lo)
+            yield from self._assignments(chosen)
+            chosen.pop()
+            return
+        mark = len(self.uf_trail)
+        mid = (lo + hi) // 2
+        for e in range(mid, hi):
+            self._contract(e)
+        yield from self._last_slot(chosen, lo, mid)
+        self._rollback_uf(mark)
+        for e in range(lo, mid):
+            self._contract(e)
+        yield from self._last_slot(chosen, mid, hi)
+        self._rollback_uf(mark)
 
     # -- per-subset assignment search ---------------------------------------
 
@@ -320,9 +368,10 @@ class _Search:
         e_pos = -1
         if self.forced_event is not None:
             e_pos = chosen.index(self.forced_event)
-            # a quotient self-loop rules out the value-changing partials
-            loop = any(bu & bv for bu, bv in succ[e_pos].items())
-            cands[e_pos] = self.essp_keeps if loop else self.essp_cands
+            # a class that is both a source and a target of the event rules
+            # out the value-changing partials
+            overlap = src[e_pos] & tgt[e_pos]
+            cands[e_pos] = self.essp_keeps if overlap else self.essp_cands
         if any(not c for c in cands):
             return
 
@@ -389,19 +438,16 @@ class _Search:
             return bool(R & atom_bit and e_pos <= p and
                         rule[sig[e_pos]][0] == (1 if O & atom_bit else 0))
 
-        # class bit -> bitmask of its states, filled at the subset's first leaf
-        cls_mask: dict[int, int] = {}
+        cls = self.uf_mask
         chosen_t = tuple(chosen)
 
         def candidate(O: int) -> Candidate:
-            if not cls_mask:
-                for s in range(self.n_states):
-                    b = 1 << find(s)
-                    cls_mask[b] = cls_mask.get(b, 0) | 1 << s
+            # the support: the states of the classes valued 1
             mask = 0
-            for b, m in cls_mask.items():
-                if O & b:
-                    mask |= m
+            while O:
+                low = O & -O
+                mask |= cls[low.bit_length() - 1]
+                O ^= low
             return mask, chosen_t, tuple(sig)
 
         # an odometer over positions: entry[p] holds each hypothesis's

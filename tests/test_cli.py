@@ -326,6 +326,30 @@ def test_atom_with_every_event_swapped_on_a_long_line(files, capsys, n):
     assert out.err.startswith("candidates_examined=1\nvalid_regions=1\n")
 
 
+def test_demo_t14_atoms_within_budget(files, capsys, demo_hs):
+    # construction 1.4 of the demo instance (105 states, 64 events): yes at
+    # kappa 2 and d=6, no at kappa 1 and d=5, with the counts of a full search
+    _, tmp = files
+    queries = []
+    for kappa in (2, 1):
+        art = b.reduce_instance("1.4", b.build_hs_instance(
+            demo_hs.universe, demo_hs.sets, kappa, demo_hs.names))
+        path = str(tmp / f"k{kappa}.ts")
+        b.write_ts(path, art.ts)
+        queries.append((art.d, ["--ts", path,
+                                "--type", b.format_type(art.default_type),
+                                "--d", str(art.d), "--atom", str(art.alpha)]))
+    got = []
+    with budget(3.0):
+        for d, query in queries:
+            code = run("atom", *query, "--stats")
+            err = capsys.readouterr().err
+            got.append((d, code, err[:err.index("elapsed")]))
+    assert got == [
+        (6, 0, "candidates_examined=4232850650\nvalid_regions=1\n"),
+        (5, 1, "candidates_examined=3810730274\nvalid_regions=0\n")]
+
+
 def test_console_entry_point(files):
     put, _ = files
     hs = put("inst.hs", DEMO_HS)

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 import pytest
@@ -10,7 +10,7 @@ from bnetsynth.engine import Candidate, _Search
 from bnetsynth.interactions import INTERACTION_ORDER, apply
 from bnetsynth.ts import EsspAtom, SspAtom
 from conftest import (TYPE_0, TYPE_1, brute_force_candidates,
-                      brute_force_regions)
+                      brute_force_regions, budget)
 
 TYPE_ALL = frozenset(INTERACTION_ORDER)
 
@@ -139,8 +139,10 @@ def test_solve_atom_rejects_non_atoms(a2):
 
 
 def test_solve_atom_agrees_with_filtered_stream(a1, a2, a3):
+    # the last type has no partial interaction: no region solves an essp atom
     for ts in (a1, a2, a3):
-        for net_type in (TYPE_1, TYPE_0, TYPE_ALL):
+        for net_type in (TYPE_1, TYPE_0, TYPE_ALL,
+                         frozenset({"nop", "set", "swap"})):
             for d in range(len(ts.events) + 1):
                 regions = stream(ts, net_type, d)
                 for atom in b.enumerate_atoms(ts):
@@ -456,14 +458,15 @@ def test_random_drts_matches_atom_major_reference(ts, net_type, d, shrink):
     assert_matches_atom_major(ts, net_type, d, shrink)
 
 
-# -- the suffix forest against the components it stands for ---------------------
+# -- the contraction at each leaf against the components it stands for ---------
 
-def suffix_classes(ts, j):
-    """The states of ts partitioned by the edges of events >= j, by BFS."""
-    pos = {e: i for i, e in enumerate(ts.events)}
+def unchosen_classes(ts, chosen):
+    """The states of ts partitioned by the edges of the events whose
+    indices are not in chosen, by BFS."""
+    skip = {ts.events[j] for j in chosen}
     adj = {s: [] for s in ts.states}
     for u, e, v in ts.edges:
-        if pos[e] >= j:
+        if e not in skip:
             adj[u].append(v)
             adj[v].append(u)
     classes, seen = set(), set()
@@ -481,31 +484,120 @@ def suffix_classes(ts, j):
     return classes
 
 
-def assert_forest_spans_suffixes(ts):
-    for j in range(len(ts.events) + 1):
-        search = _Search(ts, TYPE_1, 0)
-        assert len(search.forest) <= len(ts.states) - 1
-        search._join_suffix(j)
-        got: dict[int, set[str]] = {}
+def assert_leaves_contract_the_unchosen_events(ts):
+    n = len(ts.events)
+    search = _Search(ts, TYPE_1, n)
+    assignments = search._assignments
+    seen = []
+
+    def checked(chosen):
+        classes: dict[int, set[str]] = {}
         for i, s in enumerate(ts.states):
-            got.setdefault(search._find(i), set()).add(s)
-        assert set(map(frozenset, got.values())) == suffix_classes(ts, j), j
+            classes.setdefault(search._find(i), set()).add(s)
+        assert set(map(frozenset, classes.values())) == \
+            unchosen_classes(ts, chosen), chosen
+        for root, members in classes.items():
+            assert search.uf_mask[root] == sum(
+                1 << ts.states.index(s) for s in members), chosen
+        seen.append(tuple(chosen))
+        return assignments(chosen)
+
+    search._assignments = checked
+    for _ in search.stream():
+        pass
+    # without an atom nothing is pruned: every subset, each size in
+    # lexicographic order
+    assert seen == [c for k in range(n + 1) for c in combinations(range(n), k)]
 
 
-def test_forest_spans_each_event_suffix(a1, a2, a3):
+def test_leaves_contract_the_unchosen_events(a1, a2, a3):
     # a line whose events run against canonical order along the path
     line = b.build_ts([f"s{i}" for i in range(10)],
                       [f"e{4 * i % 9}" for i in range(9)],
                       [(f"s{i}", f"e{4 * i % 9}", f"s{i + 1}")
                        for i in range(9)], "s0")
     for ts in (a1, a2, a3, diamond(), line):
-        assert_forest_spans_suffixes(ts)
+        assert_leaves_contract_the_unchosen_events(ts)
 
 
 @given(small_ts(max_states=6, max_events=5))
 @settings(max_examples=80, deadline=None)
-def test_random_forest_spans_each_event_suffix(ts):
-    assert_forest_spans_suffixes(ts)
+def test_random_leaves_contract_the_unchosen_events(ts):
+    assert_leaves_contract_the_unchosen_events(ts)
+
+
+def test_line_drains_within_budget():
+    # 1999 events: each leaf has every other event contracted, work that
+    # divide and conquer shares between the leaves
+    n = 2000
+    line = b.build_ts([f"s{i:04d}" for i in range(n)],
+                      [f"e{i:04d}" for i in range(n - 1)],
+                      [(f"s{i:04d}", f"e{i:04d}", f"s{i + 1:04d}")
+                       for i in range(n - 1)], "s0000")
+    with budget(1.0):
+        count = sum(1 for _ in b.enumerate_valid_regions(
+            line, frozenset({"nop", "inp", "out"}), 1))
+    # the two constant regions, and each event as inp or as out
+    assert count == 4000
+
+
+# -- a class holding a source and a target of the atom's event ------------------
+
+OVERLAP_TYPES = [frozenset(t) for t in (
+    {"nop", "inp"}, {"nop", "out"}, {"nop", "inp", "used"},
+    {"nop", "out", "free"}, {"nop", "inp", "res", "swap"})]
+
+
+def assert_atoms_match_first_solver(ts, net_type, d):
+    """solve_atom against the first valid solving entry of the brute-force
+    candidate list, with its rank, or None and the length of the list."""
+    tree = b.spanning_tree(ts)
+    order = brute_force_candidates(ts, net_type, d)
+    valid = []
+    for k, (supinit, sig) in enumerate(order, 1):
+        region = b.expand_region(ts, net_type, supinit,
+                                 dict(zip(ts.events, sig)), tree)
+        if region is not None:
+            valid.append((k, region))
+    for atom in b.enumerate_atoms(ts):
+        rank, want = next(((k, r) for k, r in valid
+                           if b.region_solves(r, net_type, atom)),
+                          (len(order), None))
+        stats = b.EnumerationStats()
+        got = b.solve_atom(ts, net_type, d, atom, stats=stats)
+        case = (sorted(net_type), d, str(atom))
+        assert got == want, case
+        assert (stats.candidates_examined, stats.valid_regions) == \
+            (rank, int(want is not None)), case
+
+
+def test_overlap_pruning_matches_the_first_solver():
+    # with k nop, the class {s2, s3} holds a target (s2) and a source (s3)
+    # of a, joined by no edge of a: inp and out at a are then impossible,
+    # while used or free at a still solves essp:a,s5 through b
+    meet = b.build_ts(
+        [f"s{i}" for i in range(7)], ["a", "b", "k"],
+        [("s0", "k", "s1"), ("s1", "a", "s2"), ("s2", "k", "s3"),
+         ("s3", "a", "s4"), ("s0", "b", "s5"), ("s5", "k", "s6")], "s0")
+    # the same meeting through two events, and a self-loop of the atom's
+    # event on a branch
+    detour = b.build_ts(
+        [f"s{i}" for i in range(6)], ["a", "b", "k", "m"],
+        [("s0", "k", "s1"), ("s1", "a", "s2"), ("s2", "m", "s3"),
+         ("s3", "k", "s4"), ("s4", "a", "s0"), ("s0", "b", "s5"),
+         ("s5", "a", "s5")], "s0")
+    for ts in (meet, detour):
+        for net_type in OVERLAP_TYPES:
+            for d in range(len(ts.events) + 1):
+                assert_atoms_match_first_solver(ts, net_type, d)
+
+
+@given(small_ts(), st.frozensets(st.sampled_from(INTERACTION_ORDER)),
+       st.sampled_from(["inp", "out"]), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_random_overlap_pruning_matches_the_first_solver(ts, rest, changer,
+                                                          d):
+    assert_atoms_match_first_solver(ts, rest | {changer}, d)
 
 
 # -- the bitmask assignment kernel against the dict/watch-list search -----------
