@@ -10,17 +10,21 @@ interaction order, then initial support 0 before 1.
 Fixing the nop-events contracts the TS, because nop forces equal support
 across an edge. Each subset is therefore explored on a quotient graph
 maintained by a rollback union-find that keeps each class's states as a
-bitmask. The last chosen event is placed by divide and conquer: contract
-one half of the remaining events, recurse into the other, roll back, and
-swap, so each event is contracted O(log |E|) times per prefix rather than
-once per leaf, and the leaves still come out in ascending order.
+bitmask. The subsets are walked on one explicit stack of choice ranges:
+a range is split into a left part, visited first, and a right part,
+visited with the left part contracted. A slot before the last splits off
+its first choice; the last slot is halved, its left half visited with the
+right half contracted, so each event is contracted O(log |E|) times per
+prefix rather than once per leaf, and the leaves still come out in
+ascending order.
 A subset's assignments are an odometer over positions for both initial-
 support hypotheses: two bitmasks over quotient classes each (R valued, O
 valued 1), snapshotted per position. Pruning only skips candidates that
-cannot solve the atom. For an essp atom, when every partial interaction of
-the type changes the value (inp, out), that rules out every contraction
-with a class holding both a source and a target of the atom's event. The
-counters come from the answer's rank.
+cannot solve the atom. In the subset search the atom acts through one
+contraction check: the essp atom's event is never contracted, and a
+contraction is dropped with the rest of its range once a class holds
+states that no solving region can give one value. The counters come from
+the answer's rank.
 """
 
 from __future__ import annotations
@@ -131,11 +135,18 @@ class _Search:
         self.uf_mask = [1 << s for s in range(self.n_states)]
         self.uf_trail: list[tuple[int, int]] = []
 
+        # The atom acts on the subset search through _contract_range alone:
+        # the essp atom's event is never contracted, and a contraction is
+        # ruled out when some class holds one of a pair's states and meets
+        # its mask, as no region of it can solve the atom.
         self.atom = atom
         self.forced_event: Optional[int] = None
+        self.prune_pairs: list[tuple[list[int], int]] = []
         if isinstance(atom, SspAtom):
             self.atom_s1 = self.state_idx[atom.s1]
             self.atom_s2 = self.state_idx[atom.s2]
+            # a class holding both states gives them one value
+            self.prune_pairs.append(([self.atom_s1], 1 << self.atom_s2))
         elif isinstance(atom, EsspAtom):
             self.forced_event = self.event_idx[atom.event]
             self.atom_s = self.state_idx[atom.state]
@@ -147,23 +158,24 @@ class _Search:
             # leaves
             self.essp_keeps = tuple(i for i in cand
                                     if _RULE[i][0] == _RULE[i][1])
-            # the event's sources as state indices, its targets as a bitmask
-            self.e_sources = sorted({u for u, _ in e_edges})
-            self.e_targets = sum(1 << v for v in {v for _, v in e_edges})
+            sources = sorted({u for u, _ in e_edges})
+            targets = sum(1 << v for v in {v for _, v in e_edges})
             # A merge of the atom state with a source of its event fixes
             # sup(state) at the value where sig(event) is defined, for any
             # partial candidate; if every candidate keeps that value, the
             # target has it too and target merges are just as fatal.
-            self.atom_prune_mask = sum(1 << u for u in self.e_sources)
+            fatal = sum(1 << u for u in sources)
             if not cand:
                 # without a partial in the type nothing solves the atom
-                self.atom_prune_mask = self.all_states
+                fatal = self.all_states
             elif self.essp_keeps == cand:
-                self.atom_prune_mask |= self.e_targets
-            # inp/out need one value at every source of the event and give
-            # the other at every target, so a class holding a source and a
-            # target rules the whole contraction out
-            self.fatal_overlap = bool(cand) and not self.essp_keeps
+                fatal |= targets
+            self.prune_pairs.append(([self.atom_s], fatal))
+            if cand and not self.essp_keeps:
+                # inp/out need one value at every source of the event and
+                # give the other at every target, so a class holding a
+                # source and a target rules the whole contraction out
+                self.prune_pairs.append((sources, targets))
 
     # -- union-find ---------------------------------------------------------
 
@@ -173,21 +185,35 @@ class _Search:
             x = p[x]
         return x
 
-    def _contract(self, event: int) -> None:
-        """Merge the classes at both ends of each of the event's edges."""
+    def _contract_range(self, lo: int, hi: int) -> bool:
+        """Merge the classes at both ends of each edge of the events lo..hi-1;
+        False, perhaps with part of it done, when the range holds the essp
+        atom's event or the contraction cannot solve the atom."""
+        forced = self.forced_event
+        if forced is not None and lo <= forced < hi:
+            return False
         parent, cls, trail = self.uf_parent, self.uf_mask, self.uf_trail
-        for u, v in self.edges_by_event[event]:
-            while parent[u] != u:  # _find, inlined for speed
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u == v:
-                continue
-            if cls[u].bit_count() < cls[v].bit_count():
-                u, v = v, u
-            parent[v] = u
-            cls[u] |= cls[v]
-            trail.append((v, u))
+        edges = self.edges_by_event
+        for e in range(lo, hi):
+            for u, v in edges[e]:
+                while parent[u] != u:  # _find, inlined for speed
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u == v:
+                    continue
+                if cls[u].bit_count() < cls[v].bit_count():
+                    u, v = v, u
+                parent[v] = u
+                cls[u] |= cls[v]
+                trail.append((v, u))
+        for states, mask in self.prune_pairs:
+            for u in states:
+                while parent[u] != u:
+                    u = parent[u]
+                if cls[u] & mask:
+                    return False
+        return True
 
     def _rollback_uf(self, mark: int) -> None:
         parent, cls, trail = self.uf_parent, self.uf_mask, self.uf_trail
@@ -195,20 +221,6 @@ class _Search:
             parent[rb] = rb
             cls[ra] ^= cls[rb]
         del trail[mark:]
-
-    def _atom_pruned(self) -> bool:
-        """True when no region of the current contraction can solve the atom."""
-        find = self._find
-        if isinstance(self.atom, SspAtom):
-            return find(self.atom_s1) == find(self.atom_s2)
-        cls = self.uf_mask
-        if cls[find(self.atom_s)] & self.atom_prune_mask:
-            return True
-        if self.fatal_overlap:
-            for u in self.e_sources:
-                if cls[find(u)] & self.e_targets:
-                    return True
-        return False
 
     # -- enumeration --------------------------------------------------------
 
@@ -248,81 +260,53 @@ class _Search:
         return below + 2 * r + (mask >> self.init_idx & 1) + 1
 
     def _subset_dfs(self, count: int) -> Iterator[Candidate]:
-        n, forced = self.n_events, self.forced_event
-        mark = len(self.uf_trail)
-        if not count:
-            # every event nop (without the atom's event, no solver)
-            if forced is None:
-                for e in range(n):
-                    self._contract(e)
-                if self.atom is None or not self._atom_pruned():
-                    yield from self._assignments([])
-            self._rollback_uf(mark)
-            return
-        chosen: list[int] = []
-        # one union-find trail mark per open level; j is the next chosen
-        # event to try at the deepest level (lexicographic subset order)
-        marks = [mark]
-        j = 0
-        while True:
-            slots = count - len(chosen)
-            if slots > 1 and j <= n - slots:
-                chosen.append(j)
-                marks.append(len(self.uf_trail))
-                j += 1
-                continue
-            if slots == 1:
-                if forced is None or forced in chosen:
-                    yield from self._last_slot(chosen, j, n)
-                else:
-                    # the atom's event is never left behind (below), so it
-                    # is >= j and must fill the last slot
-                    for e in range(j, n):
-                        if e != forced:
-                            self._contract(e)
-                    yield from self._last_slot(chosen, forced, forced + 1)
-            self._rollback_uf(marks.pop())
-            # back to the parent level, where the event just tried stays
-            # contracted for the later choices
-            while chosen:
-                j = chosen.pop()
-                if j != forced:
-                    self._contract(j)
-                    if self.atom is None or not self._atom_pruned():
-                        j += 1
-                        break
-                # without the atom's event sig(e)=nop never solves it; a
-                # contraction that merges the atom does for every later choice
-                self._rollback_uf(marks.pop())
-            else:
-                return
+        """The subsets of count events in lexicographic order, each reaching
+        _assignments with every other event contracted.
 
-    def _last_slot(self, chosen: list[int], lo: int,
-                   hi: int) -> Iterator[Candidate]:
-        """The subsets chosen + [x] for x in lo..hi-1, ascending.
-
-        The events of [lo, hi) other than x must be contracted at x's
-        leaf: contract the right half and recurse into the left, roll back,
-        then the other way round. A contraction that rules the atom out
-        skips its whole range.
+        One stack of ranges: a frame (k, lo, hi, clo, chi, mark) rolls the
+        union-find back to mark, keeps the first k chosen events, contracts
+        the events clo..chi-1 and visits the choices lo..hi-1 of slot k. A
+        range is split into a left part, visited first, and a right part,
+        visited with the left part contracted. A slot before the last takes
+        off its first choice, which is chosen while the next slot is
+        visited. The last slot is halved, its left half visited with the
+        right half contracted, so each event is contracted O(log |E|) times
+        per prefix rather than once per leaf. A part whose contraction is
+        refused is skipped whole.
         """
-        if self.atom is not None and self._atom_pruned():
+        n, trail = self.n_events, self.uf_trail
+        base = len(trail)
+        if not count:
+            # every event nop
+            if self._contract_range(0, n):
+                yield from self._assignments([])
+            self._rollback_uf(base)
             return
-        if hi - lo == 1:
-            chosen.append(lo)
-            yield from self._assignments(chosen)
-            chosen.pop()
-            return
-        mark = len(self.uf_trail)
-        mid = (lo + hi) // 2
-        for e in range(mid, hi):
-            self._contract(e)
-        yield from self._last_slot(chosen, lo, mid)
-        self._rollback_uf(mark)
-        for e in range(lo, mid):
-            self._contract(e)
-        yield from self._last_slot(chosen, mid, hi)
-        self._rollback_uf(mark)
+        last = count - 1
+        chosen: list[int] = []
+        # slot k chooses from lo..n-last+k-1, leaving room for the later ones
+        stack = [(0, 0, n - last, 0, 0, base)]
+        while stack:
+            k, lo, hi, clo, chi, mark = stack.pop()
+            if len(trail) > mark:
+                self._rollback_uf(mark)
+            del chosen[k:]
+            if clo < chi and not self._contract_range(clo, chi):
+                continue
+            mark = len(trail)
+            if k < last:
+                if hi - lo > 1:
+                    stack.append((k, lo + 1, hi, lo, lo + 1, mark))
+                chosen.append(lo)
+                stack.append((k + 1, lo + 1, hi + 1, 0, 0, mark))
+            elif hi - lo > 1:
+                mid = (lo + hi) // 2
+                stack.append((k, mid, hi, lo, mid, mark))
+                stack.append((k, lo, mid, mid, hi, mark))
+            else:
+                chosen.append(lo)
+                yield from self._assignments(chosen)
+        self._rollback_uf(base)
 
     # -- per-subset assignment search ---------------------------------------
 
@@ -634,38 +618,40 @@ def solve_drts(
             hits = index.hits(cand)
             if not hits:
                 continue
-            idx = len(admissible)
-            admissible.append(search.region(cand))
-            solvers.append(cand)
             for hit in hits:
                 for a in index.atoms(hit):
-                    witness[a] = idx
+                    witness[a] = len(solvers)
+            solvers.append(cand)
             index.remove(hits)
             if len(witness) == len(atoms):
                 break
+        solvable = len(witness) == len(atoms)
         stats.candidates_examined = search.rank(
-            solvers[-1] if len(witness) == len(atoms) else None)
+            solvers[-1] if solvable else None)
+        if solvable and shrink:
+            picked, witness = _greedy_shrink(_AtomIndex(ts, atoms), atoms,
+                                             solvers)
+            solvers = [solvers[r] for r in picked]
+        admissible = [search.region(cand) for cand in solvers]
     stats.elapsed = time.monotonic() - t0
-    outcome = SynthesisOutcome(
+    return SynthesisOutcome(
         solvable=len(witness) == len(atoms),
         admissible_set=admissible,
         witness_map=witness,
         unsolved_atoms=[a for a in atoms if a not in witness],
         stats=stats,
     )
-    if outcome.solvable and shrink:
-        _greedy_shrink(outcome, _AtomIndex(ts, atoms), atoms, solvers)
-    return outcome
 
 
-def _greedy_shrink(outcome: SynthesisOutcome, index: _AtomIndex,
-                   atoms: list[SeparationAtom],
-                   solvers: list[Candidate]) -> None:
-    """Re-cover all atoms with a greedily smaller subset of the regions.
+def _greedy_shrink(index: _AtomIndex, atoms: list[SeparationAtom],
+                   solvers: list[Candidate]
+                   ) -> tuple[list[int], dict[SeparationAtom, int]]:
+    """Re-cover all atoms with a greedily smaller subset of the solvers:
+    the indices picked, ascending, and each atom's witness among them.
 
     Optional cosmetics: coverage stays complete, but the canonical-first
     witness choice is given up for the selected subset. index holds every
-    atom, and solvers the candidates of the admissible regions.
+    atom.
     """
     covers: list[set[SeparationAtom]] = [
         {a for hit in index.hits(cand) for a in index.atoms(hit)}
@@ -679,15 +665,8 @@ def _greedy_shrink(outcome: SynthesisOutcome, index: _AtomIndex,
         picked.append(best)
         uncovered -= covers[best]
     picked.sort()
-    remap = {old: new for new, old in enumerate(picked)}
-    new_witness: dict[SeparationAtom, int] = {}
-    for a in atoms:
-        for old in picked:
-            if a in covers[old]:
-                new_witness[a] = remap[old]
-                break
-    outcome.admissible_set = [outcome.admissible_set[r] for r in picked]
-    outcome.witness_map = new_witness
+    return picked, {a: next(new for new, old in enumerate(picked)
+                            if a in covers[old]) for a in atoms}
 
 
 def synthesize_net(

@@ -46,8 +46,7 @@ def build_net(
     flow: Mapping[tuple[str, str], str],
     initial_marking: Mapping[str, int],
 ) -> BooleanNet:
-    place_t = tuple(sorted(set(places)))
-    trans_t = tuple(sorted(set(transitions)))
+    place_set, trans_set = set(places), set(transitions)
     if not net_type:
         raise InvalidNet("net type is empty")
     for i in net_type:
@@ -56,9 +55,9 @@ def build_net(
 
     clean_flow: dict[tuple[str, str], str] = {}
     for (p, t), i in flow.items():
-        if p not in place_t:
+        if p not in place_set:
             raise InvalidNet(f"flow references undeclared place {p!r}")
-        if t not in trans_t:
+        if t not in trans_set:
             raise InvalidNet(f"flow references undeclared transition {t!r}")
         if not interactions.is_interaction(i):
             raise InvalidNet(f"flow at ({p}, {t}) names unknown interaction {i!r}")
@@ -67,6 +66,7 @@ def build_net(
         if i != "nop":
             clean_flow[(p, t)] = i
 
+    place_t, trans_t = tuple(sorted(place_set)), tuple(sorted(trans_set))
     if len(clean_flow) < len(place_t) * len(trans_t) and "nop" not in net_type:
         raise InvalidNet("flow defaults to nop on omitted pairs but nop is not in the net type")
 

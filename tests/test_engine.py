@@ -484,13 +484,16 @@ def unchosen_classes(ts, chosen):
     return classes
 
 
-def assert_leaves_contract_the_unchosen_events(ts):
-    n = len(ts.events)
-    search = _Search(ts, TYPE_1, n)
+def watch_leaves(search, ts):
+    """Wrap search._assignments to check at each call that the partition
+    and the class masks are those of the unchosen events, and that an essp
+    atom's event is chosen; returns the list the chosen subsets are logged
+    to."""
     assignments = search._assignments
     seen = []
 
     def checked(chosen):
+        assert search.forced_event in (None, *chosen), chosen
         classes: dict[int, set[str]] = {}
         for i, s in enumerate(ts.states):
             classes.setdefault(search._find(i), set()).add(s)
@@ -503,11 +506,33 @@ def assert_leaves_contract_the_unchosen_events(ts):
         return assignments(chosen)
 
     search._assignments = checked
+    return seen
+
+
+# the types that set each of the essp atom's prune pairs: its state against
+# the event's sources and targets (used), against its sources (inp, free),
+# and sources against targets (inp, out)
+LEAF_TYPES = (TYPE_1, TYPE_0, frozenset({"nop", "inp", "out"}))
+
+
+def assert_leaves_contract_the_unchosen_events(ts, net_type=TYPE_1,
+                                               atom=None, d=None):
+    n = len(ts.events)
+    d = n if d is None else d
+    search = _Search(ts, net_type, d, atom=atom)
+    seen = watch_leaves(search, ts)
     for _ in search.stream():
         pass
-    # without an atom nothing is pruned: every subset, each size in
-    # lexicographic order
-    assert seen == [c for k in range(n + 1) for c in combinations(range(n), k)]
+    subsets = [c for k in range(d + 1) for c in combinations(range(n), k)]
+    if atom is None:
+        # without an atom nothing is pruned: every subset, each size in
+        # lexicographic order
+        assert seen == subsets
+        return
+    # pruning only skips subsets (each `in` consumes the iterator up to
+    # its match)
+    rest = iter(subsets)
+    assert all(c in rest for c in seen), (str(atom), seen)
 
 
 def test_leaves_contract_the_unchosen_events(a1, a2, a3):
@@ -518,12 +543,36 @@ def test_leaves_contract_the_unchosen_events(a1, a2, a3):
                        for i in range(9)], "s0")
     for ts in (a1, a2, a3, diamond(), line):
         assert_leaves_contract_the_unchosen_events(ts)
+        # at most three events chosen: draining an atom's search over all
+        # of the line's subsets takes minutes
+        for net_type in LEAF_TYPES:
+            for atom in b.enumerate_atoms(ts):
+                assert_leaves_contract_the_unchosen_events(ts, net_type,
+                                                           atom, d=3)
 
 
-@given(small_ts(max_states=6, max_events=5))
+@given(small_ts(max_states=6, max_events=5), st.sampled_from(LEAF_TYPES))
 @settings(max_examples=80, deadline=None)
-def test_random_leaves_contract_the_unchosen_events(ts):
+def test_random_leaves_contract_the_unchosen_events(ts, net_type):
     assert_leaves_contract_the_unchosen_events(ts)
+    for atom in b.enumerate_atoms(ts):
+        assert_leaves_contract_the_unchosen_events(ts, net_type, atom)
+
+
+def test_triangle_t14_pruning_keeps_its_power():
+    # the rank counters cannot see a subset that pruning used to skip; the
+    # subsets the alpha query passes to the assignment search can
+    pairs = [["X1", "X2"], ["X2", "X3"], ["X1", "X3"]]
+    got = []
+    for kappa in (2, 1):
+        art = b.reduce_instance(
+            "1.4", b.build_hs_instance(["X1", "X2", "X3"], pairs, kappa))
+        search = _Search(art.ts, art.default_type, art.d, atom=art.alpha)
+        seen = watch_leaves(search, art.ts)
+        next(search.stream(), None)
+        got.append((art.d, len(seen)))
+    assert got[0][0] == 6 and got[0][1] <= 276
+    assert got[1][0] == 5 and got[1][1] <= 200
 
 
 def test_line_drains_within_budget():

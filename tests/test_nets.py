@@ -3,6 +3,7 @@ import pytest
 import bnetsynth as b
 from bnetsynth.lineio import ParseError
 from bnetsynth.nets import InvalidNet, marking_id
+from conftest import budget
 
 SWAP3 = dict(
     places=["p0", "p1", "p2"],
@@ -104,6 +105,19 @@ def test_build_net_validation():
         b.build_net(["p"], ["t"], frozenset({"nop"}), {}, {})
     with pytest.raises(InvalidNet, match="must be 0 or 1"):
         b.build_net(["p"], ["t"], frozenset({"nop"}), {}, {"p": 2})
+
+
+def test_build_net_checks_many_places_within_budget():
+    # one flow entry per place: each check is a set lookup, not a scan of
+    # the place list
+    places = [f"p{i:05d}" for i in range(20000)]
+    flow = {(p, "t"): "inp" for p in places}
+    with budget(0.5):
+        net = b.build_net(places, ["t"], frozenset({"nop", "inp"}), flow,
+                          dict.fromkeys(places, 1))
+    assert net.places == tuple(places)
+    assert net.transitions == ("t",)
+    assert len(net.flow) == 20000
 
 
 def test_sparse_flow_requires_nop():
