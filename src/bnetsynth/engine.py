@@ -602,16 +602,14 @@ def solve_drts(
     solved, so an unsolvable verdict always reflects a fully drained
     candidate space.
     """
-    if d < 0:
-        raise ValueError("restriction bound must be >= 0")
     t0 = time.monotonic()
+    search = _Search(ts, net_type, d)
     stats = EnumerationStats()
     atoms = enumerate_atoms(ts)
     admissible: list[Region] = []
     solvers: list[Candidate] = []
     witness: dict[SeparationAtom, int] = {}
     if atoms:
-        search = _Search(ts, net_type, d)
         index = _AtomIndex(ts, atoms)
         for cand in search.stream():
             stats.valid_regions += 1

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from itertools import chain, combinations, count, islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .interactions import format_type
 from .lineio import ParseError, check_ident, expect_model, tokenize
@@ -152,9 +152,22 @@ def _finish(construction: str, inst: HittingSetInstance, edges: list[Edge],
                              default_type=default_type)
 
 
-def _theta_chain(edges: list[Edge], n_links: int) -> None:
-    for i in range(1, n_links + 1):
-        edges.append((f"bot_{i}", f"theta_{i}", f"bot_{i + 1}"))
+def _numbered(prefix: str, first: int = 0) -> Iterator[str]:
+    """prefix_first, prefix_<first + 1>, ... without end."""
+    return (f"{prefix}_{r}" for r in count(first))
+
+
+def _path(edges: list[Edge], start: str, states: Iterable[str],
+          word: Iterable[str], back: Iterable[bool] = repeat(False)) -> None:
+    """Append the path that spells word from start, entering the next of
+    states at each step; a step whose flag in back is true also runs
+    backwards. states and back may run on past the word."""
+    src = start
+    for event, dst, both in zip(word, states, back):
+        edges.append((src, event, dst))
+        if both:
+            edges.append((dst, event, src))
+        src = dst
 
 
 def reduce_t11(inst: HittingSetInstance) -> ReductionArtifact:
@@ -167,22 +180,13 @@ def reduce_t11(inst: HittingSetInstance) -> ReductionArtifact:
     """
     m = len(inst.sets)
     edges: list[Edge] = []
-    _theta_chain(edges, m)
-    anchor = f"bot_{m + 1}"
-    edges.append((anchor, f"w{m + 1}", "h_0"))
-    edges.append(("h_0", "k", "h_1"))
-    edges.append(("h_1", "z", "h_2"))
-    edges.append(("h_2", "o", "h_3"))
-    edges.append(("h_3", "k", "h_4"))
+    _path(edges, "bot_1", _numbered("bot", 2),
+          islice(_numbered("theta", 1), m))
+    _path(edges, f"bot_{m + 1}", _numbered("h"),
+          (f"w{m + 1}", "k", "z", "o", "k"))
     for gi, members in enumerate(inst.sets, start=1):
-        mi = len(members)
-        t = [f"t_{gi}_{r}" for r in range(mi + 4)]
-        edges.append((f"bot_{gi}", f"w{gi}", t[0]))
-        edges.append((t[0], "k", t[1]))
-        for j, x in enumerate(members, start=1):
-            edges.append((t[j], x, t[j + 1]))
-        edges.append((t[mi + 1], "z", t[mi + 2]))
-        edges.append((t[mi + 2], "k", t[mi + 3]))
+        _path(edges, f"bot_{gi}", _numbered(f"t_{gi}"),
+              (f"w{gi}", "k", *members, "z", "k"))
     return _finish("1.1", inst, edges, "bot_1", inst.kappa + 2,
                    EsspAtom("k", "h_2"), frozenset({"nop", "inp", "set"}))
 
@@ -197,26 +201,15 @@ def reduce_t12(inst: HittingSetInstance) -> ReductionArtifact:
     """
     m = len(inst.sets)
     real: list[Edge] = []
-    _theta_chain(real, m + 2)
+    _path(real, "bot_1", _numbered("bot", 2),
+          islice(_numbered("theta", 1), m + 2))
     for gi, members in enumerate(inst.sets, start=1):
-        mi = len(members)
-        t = [f"t_{gi}_{r}" for r in range(mi + 5)]
-        real.append((f"bot_{gi}", f"w{gi}", t[0]))
-        real.append((t[0], "k", t[1]))
-        real.append((t[1], "z1", t[2]))
-        for j, x in enumerate(members, start=1):
-            real.append((t[j + 1], x, t[j + 2]))
-        real.append((t[mi + 2], "z2", t[mi + 3]))
-        real.append((t[mi + 3], "k", t[mi + 4]))
-    real.append((f"bot_{m + 1}", f"w{m + 1}", "h_1_0"))
-    real.append(("h_1_0", "k", "h_1_1"))
-    real.append(("h_1_1", "o1", "h_1_2"))
-    real.append(("h_1_2", "o2", "h_1_3"))
-    real.append(("h_1_3", "k", "h_1_4"))
-    real.append((f"bot_{m + 2}", f"w{m + 2}", "h_2_0"))
-    real.append(("h_2_0", "k", "h_2_1"))
-    real.append(("h_2_1", "z1", "h_2_2"))
-    real.append((f"bot_{m + 3}", "o1", "h_3_0"))
+        _path(real, f"bot_{gi}", _numbered(f"t_{gi}"),
+              (f"w{gi}", "k", "z1", *members, "z2", "k"))
+    _path(real, f"bot_{m + 1}", _numbered("h_1"),
+          (f"w{m + 1}", "k", "o1", "o2", "k"))
+    _path(real, f"bot_{m + 2}", _numbered("h_2"), (f"w{m + 2}", "k", "z1"))
+    _path(real, f"bot_{m + 3}", _numbered("h_3"), ("o1",))
     edges = list(real)
     edges.extend((dst, e, dst) for _, e, dst in real)
     edges.append(("h_2_2", "o1", "h_2_2"))
@@ -236,41 +229,23 @@ def reduce_t13(inst: HittingSetInstance) -> ReductionArtifact:
     """
     m = len(inst.sets)
     edges: list[Edge] = []
-    _theta_chain(edges, m + 1)
-
-    def both(a: str, e: str, b: str) -> None:
-        edges.append((a, e, b))
-        edges.append((b, e, a))
-
-    anchor0 = f"bot_{m + 1}"
-    h0 = ["", "h_0_1", "h_0_2", "h_0_3", "h_0_4", "h_0_5"]
-    both(anchor0, f"w{m + 1}", h0[1])
-    both(h0[1], "k", h0[2])
-    both(h0[2], "o1", h0[3])
-    both(h0[3], "o2", h0[4])
-    both(h0[4], "k", h0[5])
-    anchor1 = f"bot_{m + 2}"
-    h1 = ["", "h_1_1", "h_1_2", "h_1_3", "h_1_4", "h_1_5", "h_1_6"]
-    both(anchor1, f"w{m + 2}", h1[1])
-    both(h1[1], "k", h1[2])
-    both(h1[2], "z1", h1[3])
-    both(h1[3], "o1", h1[4])
-    both(h1[4], "z2", h1[5])
-    both(h1[5], "k", h1[6])
+    _path(edges, "bot_1", _numbered("bot", 2),
+          islice(_numbered("theta", 1), m + 1))
+    _path(edges, f"bot_{m + 1}", _numbered("h_0", 1),
+          (f"w{m + 1}", "k", "o1", "o2", "k"), repeat(True))
+    _path(edges, f"bot_{m + 2}", _numbered("h_1", 1),
+          (f"w{m + 2}", "k", "z1", "o1", "z2", "k"), repeat(True))
     for gi, members in enumerate(inst.sets, start=1):
-        mi = len(members)
-        t = [f"t_{gi}_{r}" for r in range(4 * mi + 5)]
-        edges.append((f"bot_{gi}", f"w{gi}", t[0]))
-        edges.append((t[0], "k", t[1]))
-        both(t[1], "z1", t[2])
+        # each member: shuttle its guard, walk it, shuttle it, then the
+        # guard again
+        word, back = [f"w{gi}", "k", "z1"], [False, False, True]
         for j, x in enumerate(members, start=1):
             guard = f"a_{gi}_{j}"
-            both(t[4 * j - 2], guard, t[4 * j - 1])
-            edges.append((t[4 * j - 1], x, t[4 * j]))
-            both(t[4 * j], x, t[4 * j + 1])
-            both(t[4 * j + 1], guard, t[4 * j + 2])
-        both(t[4 * mi + 2], "z2", t[4 * mi + 3])
-        edges.append((t[4 * mi + 3], "k", t[4 * mi + 4]))
+            word += (guard, x, x, guard)
+            back += (True, False, True, True)
+        word += ("z2", "k")
+        back += (True, False)
+        _path(edges, f"bot_{gi}", _numbered(f"t_{gi}"), word, back)
     return _finish("1.3", inst, edges, "bot_1", inst.kappa + 4,
                    EsspAtom("k", "h_0_3"),
                    frozenset({"nop", "set", "swap", "used"}))
@@ -325,50 +300,29 @@ def reduce_t14(inst: HittingSetInstance) -> ReductionArtifact:
     """
     m = len(inst.sets)
     edges: list[Edge] = []
-    _theta_chain(edges, m + 4)
-    heads = [
-        ("h_0", "o1", "o2"),
-        ("h_1", "z1", "o2"),
-        ("h_2", "z2", "o2"),
-        ("h_3", "z1", "z3", "z2"),
-        ("h_4", "z1", "z4", "z2"),
-    ]
-    for hi, head in enumerate(heads):
-        prefix, mids = head[0], head[1:]
-        anchor = f"bot_{m + 1 + hi}"
-        states = [f"{prefix}_{r}" for r in range(len(mids) + 3)]
-        edges.append((anchor, f"w{m + 1 + hi}", states[0]))
-        edges.append((states[0], "k", states[1]))
-        for r, ev in enumerate(mids):
-            edges.append((states[r + 1], ev, states[r + 2]))
-        edges.append((states[len(mids) + 1], "k", states[len(mids) + 2]))
+    _path(edges, "bot_1", _numbered("bot", 2),
+          islice(_numbered("theta", 1), m + 4))
+    heads = (("o1", "o2"), ("z1", "o2"), ("z2", "o2"), ("z1", "z3", "z2"),
+             ("z1", "z4", "z2"))
+    for hi, mids in enumerate(heads):
+        _path(edges, f"bot_{m + 1 + hi}", _numbered(f"h_{hi}"),
+              (f"w{m + 1 + hi}", "k", *mids, "k"))
     per_gadget = _gadget_paths(inst)
     for gi, members in enumerate(inst.sets, start=1):
-        mi = len(members)
-        t = [f"t_{gi}_{r}" for r in range(mi + 5)]
-        edges.append((t[0], "k", t[1]))
-        edges.append((t[1], "z3", t[2]))
-        for j, x in enumerate(members, start=1):
-            edges.append((t[j + 1], x, t[j + 2]))
-        edges.append((t[mi + 2], "z4", t[mi + 3]))
-        edges.append((t[mi + 3], "k", t[mi + 4]))
+        # from bot_<gi>, replay each path P_<i>.<j>_<gi>_<n>, a connector
+        # between two, or pass q_<gi> when there are none; then u<gi>
+        # enters the member walk
         paths = per_gadget[gi]
-        cursor = f"bot_{gi}"
-        hop = f"w{gi}"
-        if not paths:
-            edges.append((cursor, hop, f"q_{gi}"))
-            cursor = f"q_{gi}"
-        else:
-            for r, (i, j, n) in enumerate(paths, start=1):
-                tag = f"{i}.{j}"
-                s = [f"s_{tag}_{gi}_{x}" for x in range(n + 2)]
-                edges.append((cursor, hop, s[0]))
-                edges.append((s[0], f"v_{tag}_{n}", s[1]))
-                for x in range(n, 0, -1):
-                    edges.append((s[n - x + 1], f"oplus_{tag}_{x}", s[n - x + 2]))
-                cursor = s[n + 1]
-                hop = f"c_{gi}_{r}"
-        edges.append((cursor, f"u{gi}", t[0]))
+        word, states = [f"w{gi}"], [] if paths else [f"q_{gi}"]
+        for r, (i, j, n) in enumerate(paths, start=1):
+            tag = f"{i}.{j}"
+            if r > 1:
+                word.append(f"c_{gi}_{r - 1}")
+            word.append(f"v_{tag}_{n}")
+            word += (f"oplus_{tag}_{x}" for x in range(n, 0, -1))
+            states += (f"s_{tag}_{gi}_{x}" for x in range(n + 2))
+        word += (f"u{gi}", "k", "z3", *members, "z4", "k")
+        _path(edges, f"bot_{gi}", chain(states, _numbered(f"t_{gi}")), word)
     return _finish("1.4", inst, edges, "bot_1", inst.kappa + 4,
                    EsspAtom("k", "h_0_2"),
                    frozenset({"nop", "inp", "res", "swap"}))

@@ -233,6 +233,18 @@ def test_verify(files, capsys, a1_net_golden):
     assert "not isomorphic" in capsys.readouterr().err
 
 
+def test_verify_is_a_no_when_the_net_outgrows_the_ts(files, capsys):
+    # a and b each swap one place: four markings, against a cap of two
+    put, _ = files
+    loop = put("loop.ts", ".model ts\n.initial s0\n.edge s0 a s0\n")
+    net = put("swaps.net", ".model bnet\n.type nop,swap\n"
+              ".place p0 0\n.place p1 0\n.transition a\n.transition b\n"
+              ".flow p0 a swap\n.flow p1 b swap\n")
+    assert run("verify", "--ts", loop, "--net", net) == 1
+    assert capsys.readouterr().err == (
+        "reachability graph is not isomorphic to the transition system\n")
+
+
 def test_reach(files, capsys):
     put, tmp = files
     net = put("two_place.net", ".model bnet\n.type nop,inp,swap\n.place R_1 1\n"
@@ -279,6 +291,15 @@ def test_errors_exit_2(files, capsys):
     assert "missing .initial" in capsys.readouterr().err
     loop = put("loop.ts", ".model ts\n.initial s0\n.edge s0 a s0\n")
     assert run("synth", "--ts", loop, "--type", "nop,swap", "--d", "-1") == 2
+    assert capsys.readouterr().err == \
+        "error: restriction bound must be >= 0\n"
+
+
+def test_atom_rejects_a_negative_bound(files, capsys):
+    put, _ = files
+    ts = put("a1.ts", A1_TS)
+    assert run("atom", "--ts", ts, "--type", "nop,swap", "--d", "-1",
+               "--atom", "ssp:s0,s1") == 2
     assert capsys.readouterr().err == \
         "error: restriction bound must be >= 0\n"
 

@@ -244,6 +244,11 @@ def test_drts_on_atomless_ts():
         b.solve_drts(ts, TYPE_1, -1)
 
 
+def test_enumeration_rejects_a_negative_bound(a1):
+    with pytest.raises(ValueError, match="restriction bound must be >= 0"):
+        b.enumerate_valid_regions(a1, TYPE_1, -1)
+
+
 def test_drts_monotone_in_d(a1, a2, a3):
     for ts in (a1, a2, a3):
         for net_type in (TYPE_1, TYPE_0, TYPE_ALL):

@@ -1,10 +1,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnetsynth as b
 from bnetsynth.lineio import ParseError
-from bnetsynth.reductions import RelevantEntry, _gadget_paths
+from bnetsynth.reductions import _RESERVED_EVENT, RelevantEntry, _gadget_paths
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -388,3 +390,49 @@ def test_meta_marks_unused_elements():
     inst = b.build_hs_instance(["X1", "X9"], [["X1"]], 1)
     lines = b.render_meta(b.reduce_t11(inst)).splitlines()
     assert ".event X9 -" in lines
+
+
+# -- golden compiled systems -----------------------------------------------------
+
+@pytest.mark.parametrize("construction", ["1.1", "1.2", "1.3", "1.4"])
+def test_demo_ts_golden(construction, demo_hs):
+    art = b.reduce_instance(construction, demo_hs)
+    name = f"demo_t{construction.replace('.', '')}.ts"
+    assert b.render_ts(art.ts) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_t14_without_replays_golden():
+    # two identical gadgets replay no path: each is reached through q_<i>
+    inst = b.build_hs_instance(["X1", "X2"], [["X1", "X2"], ["X1", "X2"]], 1)
+    art = b.reduce_t14(inst)
+    assert b.render_ts(art.ts) == \
+        (GOLDEN / "twins_t14.ts").read_text(encoding="utf-8")
+    assert b.render_meta(art) == \
+        (GOLDEN / "twins_t14_meta.txt").read_text(encoding="utf-8")
+
+
+# -- the reserved namespace --------------------------------------------------------
+
+# universe names outside the reserved namespace, some of them close to it
+FREE_NAMES = ("X1", "X2", "Y", "z5", "o3", "kk", "wx", "theta", "a_1")
+
+
+@st.composite
+def hs_instances(draw):
+    universe = draw(st.lists(st.sampled_from(FREE_NAMES), min_size=1,
+                             max_size=5, unique=True))
+    member_sets = st.lists(st.sampled_from(universe), min_size=1,
+                           max_size=len(universe), unique=True)
+    sets = draw(st.lists(member_sets, max_size=4))
+    return b.build_hs_instance(universe, sets, draw(st.integers(0, 3)))
+
+
+@given(hs_instances())
+@settings(max_examples=150, deadline=None)
+def test_generated_events_stay_in_the_reserved_namespace(inst):
+    # the no-collision promise of the naming scheme: every event a
+    # construction adds to the universe's is one _RESERVED_EVENT rejects
+    for construction in ("1.1", "1.2", "1.3", "1.4"):
+        art = b.reduce_instance(construction, inst)
+        for event in set(art.ts.events) - set(inst.universe):
+            assert _RESERVED_EVENT.match(event), (construction, event)
