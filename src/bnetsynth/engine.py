@@ -23,8 +23,13 @@ valued 1), snapshotted per position. Pruning only skips candidates that
 cannot solve the atom. In the subset search the atom acts through one
 contraction check: the essp atom's event is never contracted, and a
 contraction is dropped with the rest of its range once a class holds
-states that no solving region can give one value. The counters come from
-the answer's rank.
+states that no solving region can give one value.
+
+solve_drts checks the canonical stream against every open atom at once
+while many are open, and searches for each of the last few on its own,
+from the level it has reached. The counters come from the answer alone,
+never from the path that found it: candidates_examined is the answer's
+rank, and valid_regions the number of solving regions found.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import time
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import interactions
 from .interactions import INTERACTION_ORDER, PARTIAL, apply as apply_i
@@ -61,7 +66,9 @@ class EnumerationStats:
     region solve_atom found, or solve_drts's last admissible region (0 with
     no atoms). With no answer or after a full drain it is the space size,
     candidate_count_formula with nop in the type. valid_regions counts the
-    regions the search produced.
+    solving regions: 1 or 0 for solve_atom, solve_drts's distinct
+    canonical-first solvers before any shrink, and every region
+    enumerate_valid_regions yielded.
     """
     candidates_examined: int = 0
     valid_regions: int = 0
@@ -239,9 +246,11 @@ class _Search:
             signature[self.events[j]] = iname
         return Region(support=support, signature=signature)
 
-    def stream(self) -> Iterator[Candidate]:
+    def stream(self, start: int = 0) -> Iterator[Candidate]:
+        """The candidates of the subsets of at least start events."""
         for count in self.levels:
-            yield from self._subset_dfs(count)
+            if count >= start:
+                yield from self._subset_dfs(count)
 
     def rank(self, cand: Optional[Candidate]) -> int:
         """1-based position of cand in canonical order; None: the space size."""
@@ -501,13 +510,21 @@ def solve_atom(
     """
     validate_atom(ts, atom)
     t0 = time.monotonic()
-    search = _Search(ts, net_type, d, atom=atom)
-    found = next(search.stream(), None)
+    search, found = _first_solver(ts, net_type, d, atom)
     if stats is not None:
         stats.candidates_examined = search.rank(found)
         stats.valid_regions = int(found is not None)
         stats.elapsed = time.monotonic() - t0
     return None if found is None else search.region(found)
+
+
+def _first_solver(ts: TransitionSystem, net_type: frozenset[str], d: int,
+                  atom: SeparationAtom, start: int = 0
+                  ) -> tuple[_Search, Optional[Candidate]]:
+    """The atom's search and its first solver in canonical order among the
+    subsets of at least start events, or None."""
+    search = _Search(ts, net_type, d, atom=atom)
+    return search, next(search.stream(start), None)
 
 
 def region_solves(region: Region, net_type: frozenset[str],
@@ -586,6 +603,14 @@ class _AtomIndex:
                 yield EsspAtom(self.events[i], s)
 
 
+# solve_drts stops its stream before the first level at which at most this
+# many atoms are open, and finds each one's first solver on its own. The
+# atom searches win where the last levels are large, as on the compiled
+# hitting-set instances; on small systems, where a level is cheap to
+# stream, a higher limit costs more searches than it saves.
+_PER_ATOM_LIMIT = 32
+
+
 def solve_drts(
     ts: TransitionSystem,
     net_type: frozenset[str],
@@ -594,13 +619,19 @@ def solve_drts(
 ) -> SynthesisOutcome:
     """Decide whether a d-restricted admissible set exists, and collect one.
 
-    The unsolved atoms are kept as bitmask rows over state indices. Each
-    candidate of the canonical stream is checked against all of them at
-    once, from its support bitmask and its chosen interactions; only a
-    candidate that solves some atom becomes a Region, kept as the witness
-    of every atom it solves first. Enumeration stops once every atom is
-    solved, so an unsolvable verdict always reflects a fully drained
-    candidate space.
+    The unsolved atoms are kept as bitmask rows over state indices, and
+    each candidate is checked against all of them at once, from its support
+    bitmask and its chosen interactions; only a candidate that solves some
+    atom becomes a Region, kept as the witness of every atom it solves
+    first. The candidates come from the canonical stream, one restriction
+    level at a time, while more than _PER_ATOM_LIMIT atoms are open.
+    Before the first level where at most that many are, the stream stops:
+    each open atom's first solver from that level on is found by its own
+    pruned search, as in solve_atom, and those finds are checked in
+    canonical order instead. Either way the solvers, witnesses and counters
+    are the same. The search stops once every atom is solved. An
+    unsolvable verdict reflects a fully drained stream, or a search
+    exhausted for each atom left open at the switch.
     """
     t0 = time.monotonic()
     search = _Search(ts, net_type, d)
@@ -611,21 +642,38 @@ def solve_drts(
     witness: dict[SeparationAtom, int] = {}
     if atoms:
         index = _AtomIndex(ts, atoms)
-        for cand in search.stream():
-            stats.valid_regions += 1
-            hits = index.hits(cand)
-            if not hits:
-                continue
-            for hit in hits:
-                for a in index.atoms(hit):
-                    witness[a] = len(solvers)
-            solvers.append(cand)
-            index.remove(hits)
-            if len(witness) == len(atoms):
+        for c in search.levels:
+            open_count = len(atoms) - len(witness)
+            if not open_count:
+                break
+            per_atom = open_count <= _PER_ATOM_LIMIT
+            source: Iterable[Candidate]
+            if per_atom:
+                # a find shared by several atoms solves none of them the
+                # second time, so the loop below takes it once
+                finds = [_first_solver(ts, net_type, d, a, c)[1]
+                         for a in atoms if a not in witness]
+                source = sorted((f for f in finds if f is not None),
+                                key=search.rank)
+            else:
+                source = search._subset_dfs(c)
+            for cand in source:
+                hits = index.hits(cand)
+                if not hits:
+                    continue
+                for hit in hits:
+                    for a in index.atoms(hit):
+                        witness[a] = len(solvers)
+                solvers.append(cand)
+                index.remove(hits)
+                if len(witness) == len(atoms):
+                    break
+            if per_atom:
                 break
         solvable = len(witness) == len(atoms)
         stats.candidates_examined = search.rank(
             solvers[-1] if solvable else None)
+        stats.valid_regions = len(solvers)
         if solvable and shrink:
             picked, witness = _greedy_shrink(_AtomIndex(ts, atoms), atoms,
                                              solvers)

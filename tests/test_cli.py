@@ -24,7 +24,7 @@ A1_REPORT = (
     ".supinit 0\n"
     ".sig a swap\n"
     "candidates_examined=5\n"
-    "valid_regions=4\n"
+    "valid_regions=1\n"
 )
 
 
@@ -369,6 +369,31 @@ def test_demo_t14_atoms_within_budget(files, capsys, demo_hs):
     assert got == [
         (6, 0, "candidates_examined=4232850650\nvalid_regions=1\n"),
         (5, 1, "candidates_examined=3810730274\nvalid_regions=0\n")]
+
+
+@pytest.mark.parametrize("kappa", [2, 1])
+def test_demo_t12_synth_within_budget(files, capsys, demo_hs, kappa):
+    # construction 1.2 of the demo instance: 1,889 atoms, the last 70 of
+    # them open only beyond three non-nop events
+    _, tmp = files
+    inst = b.build_hs_instance(demo_hs.universe, demo_hs.sets, kappa,
+                               demo_hs.names)
+    art = b.reduce_instance("1.2", inst)
+    ts, net = str(tmp / "t12.ts"), str(tmp / "t12.net")
+    b.write_ts(ts, art.ts)
+    with budget(10.0):
+        code = run("synth", "--ts", ts,
+                   "--type", b.format_type(art.default_type),
+                   "--d", str(art.d), "--net", net)
+    out = capsys.readouterr().out
+    yes = b.hs_brute_force(inst) is not None
+    assert yes == (kappa == 2)
+    assert code == (0 if yes else 1)
+    if yes:
+        assert out == "solvable\n"
+        assert b.verify_lemma1(art.ts, b.read_net(net))
+    else:
+        assert f"unsolved {art.alpha}\n" in out
 
 
 def test_console_entry_point(files):

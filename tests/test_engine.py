@@ -1,11 +1,13 @@
 from itertools import combinations, product
 from typing import Iterator, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnetsynth as b
+from bnetsynth import engine
 from bnetsynth.engine import Candidate, _Search
 from bnetsynth.interactions import INTERACTION_ORDER, apply
 from bnetsynth.ts import EsspAtom, SspAtom
@@ -400,7 +402,8 @@ def test_random_solvable_runs_roundtrip(ts, net_type, d):
 def atom_major_drts(ts, net_type, d, shrink):
     """Reference for solve_drts: every region of the stream is tested
     against each still-unsolved atom with region_solves, and the optional
-    shrink re-covers the atoms greedily from the same test."""
+    shrink re-covers the atoms greedily from the same test. Also returns
+    the number of solving regions found before the shrink."""
     stats = b.EnumerationStats()
     atoms = b.enumerate_atoms(ts)
     unsolved = dict.fromkeys(atoms)
@@ -416,6 +419,7 @@ def atom_major_drts(ts, net_type, d, shrink):
             admissible.append(region)
             if not unsolved:
                 break
+    found = len(admissible)
     if shrink and not unsolved:
         covers = [{a for a in atoms if b.region_solves(r, net_type, a)}
                   for r in admissible]
@@ -430,22 +434,39 @@ def atom_major_drts(ts, net_type, d, shrink):
         witness = {a: remap[next(r for r in picked if a in covers[r])]
                    for a in atoms}
         admissible = [admissible[r] for r in picked]
-    return admissible, witness, list(unsolved), stats
+    return admissible, witness, list(unsolved), stats, found
+
+
+# solve_drts's per-atom limit: the stream alone, a switch partway on the
+# small systems below, the default (per atom from level 0 on most of them),
+# and per atom from level 0 everywhere
+PER_ATOM_LIMITS = (0, 4, engine._PER_ATOM_LIMIT, 10 ** 9)
+
+
+def per_atom_limit(limit):
+    return mock.patch.object(engine, "_PER_ATOM_LIMIT", limit)
+
+
+def outcome_fields(outcome):
+    """Every field of a SynthesisOutcome but the time, in order."""
+    return (outcome.solvable,
+            [(list(r.support.items()), list(r.signature.items()))
+             for r in outcome.admissible_set],
+            list(outcome.witness_map.items()), outcome.unsolved_atoms,
+            outcome.stats.candidates_examined, outcome.stats.valid_regions)
 
 
 def assert_matches_atom_major(ts, net_type, d, shrink):
-    outcome = b.solve_drts(ts, net_type, d, shrink=shrink)
-    admissible, witness, unsolved, stats = atom_major_drts(
+    admissible, witness, unsolved, stats, found = atom_major_drts(
         ts, net_type, d, shrink)
-    assert outcome.solvable == (not unsolved)
-    assert [(list(r.support.items()), list(r.signature.items()))
-            for r in outcome.admissible_set] == \
-        [(list(r.support.items()), list(r.signature.items()))
-         for r in admissible]
-    assert list(outcome.witness_map.items()) == list(witness.items())
-    assert outcome.unsolved_atoms == unsolved
-    assert outcome.stats.candidates_examined == stats.candidates_examined
-    assert outcome.stats.valid_regions == stats.valid_regions
+    # valid_regions counts the solvers found, taken before the shrink
+    want = outcome_fields(b.SynthesisOutcome(
+        not unsolved, admissible, witness, unsolved,
+        b.EnumerationStats(stats.candidates_examined, found)))
+    for limit in PER_ATOM_LIMITS:
+        with per_atom_limit(limit):
+            outcome = b.solve_drts(ts, net_type, d, shrink=shrink)
+        assert outcome_fields(outcome) == want, limit
 
 
 def test_drts_matches_atom_major_reference(a1, a2, a3):
@@ -461,6 +482,33 @@ def test_drts_matches_atom_major_reference(a1, a2, a3):
 @settings(max_examples=60, deadline=None)
 def test_random_drts_matches_atom_major_reference(ts, net_type, d, shrink):
     assert_matches_atom_major(ts, net_type, d, shrink)
+
+
+def test_drts_switch_partway_matches_the_stream():
+    # three disjoint pairs at kappa 2 under construction 1.1: 757 atoms, 11
+    # open before level 3, where the default limit stops the stream
+    universe = [f"X{i}" for i in range(1, 7)]
+    pairs = [["X1", "X2"], ["X3", "X4"], ["X5", "X6"]]
+    art = b.reduce_t11(b.build_hs_instance(universe, pairs, 2))
+    with mock.patch.object(engine, "_first_solver",
+                           wraps=engine._first_solver) as spy:
+        hybrid = b.solve_drts(art.ts, art.default_type, art.d)
+    assert {call.args[4] for call in spy.call_args_list} == {3}
+    with per_atom_limit(0):
+        streamed = b.solve_drts(art.ts, art.default_type, art.d)
+    assert not hybrid.solvable and art.alpha in hybrid.unsolved_atoms
+    assert outcome_fields(hybrid) == outcome_fields(streamed)
+
+
+def test_criterion_06_no_within_budget():
+    # the criterion-06 no case: four disjoint pairs at kappa 3
+    universe = [f"X{i}" for i in range(1, 9)]
+    pairs = [["X1", "X2"], ["X3", "X4"], ["X5", "X6"], ["X7", "X8"]]
+    art = b.reduce_t11(b.build_hs_instance(universe, pairs, 3))
+    with budget(2.0):
+        outcome = b.solve_drts(art.ts, art.default_type, art.d)
+    assert not outcome.solvable
+    assert art.alpha in outcome.unsolved_atoms
 
 
 # -- the contraction at each leaf against the components it stands for ---------
