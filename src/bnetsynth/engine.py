@@ -19,11 +19,18 @@ prefix rather than once per leaf, and the leaves still come out in
 ascending order.
 A subset's assignments are an odometer over positions for both initial-
 support hypotheses: two bitmasks over quotient classes each (R valued, O
-valued 1), snapshotted per position. Pruning only skips candidates that
-cannot solve the atom. In the subset search the atom acts through one
-contraction check: the essp atom's event is never contracted, and a
-contraction is dropped with the rest of its range once a class holds
-states that no solving region can give one value.
+valued 1), snapshotted per position. Every interaction but swap gives its
+targets one value whatever their sources hold, so a position values all
+its targets when it is assigned, and the sources' needs are checked
+against two masks, those needing 1 and those needing 0. Only swap carries
+a value from a source, fired from each newly valued class through the
+swap positions assigned so far. Every state is reachable, so a complete
+assignment values every class, and a hypothesis dies as soon as a known
+value breaks a rule. Pruning only skips candidates that cannot solve the
+atom. In the subset search the atom acts through one contraction check:
+the essp atom's event is never contracted, and a contraction is dropped
+with the rest of its range once a class holds states that no solving
+region can give one value.
 
 solve_drts checks the canonical stream against every open atom at once
 while many are open, and searches for each of the last few on its own,
@@ -36,8 +43,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, repeat
 from math import comb
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from . import interactions
@@ -332,12 +341,10 @@ class _Search:
             return
 
         # each position's quotient edges over class bits (1 << root): its
-        # sources, its targets, each source's targets, and the sources of
-        # all positions up to it
+        # sources, its targets, and each source's targets
         src: list[int] = []
         tgt: list[int] = []
         succ: list[dict[int, int]] = []
-        upto: list[int] = []
         parent = self.uf_parent
         for j in chosen:
             m: dict[int, int] = {}
@@ -354,7 +361,6 @@ class _Search:
             src.append(s)
             tgt.append(t)
             succ.append(m)
-            upto.append(s | (upto[-1] if upto else 0))
 
         # candidate interactions per position, canonical order throughout
         cands: list[tuple[str, ...]] = [self.non_nop] * count
@@ -375,51 +381,54 @@ class _Search:
         elif isinstance(self.atom, EsspAtom):
             atom_bit = 1 << find(self.atom_s)
 
+        # the chosen interactions; prefix[p] holds, over positions 0..p, the
+        # sources that need 1, those that need 0, the sources of the swap
+        # positions and their number; swaps lists those swap positions for
+        # the p being assigned
         sig: list[str] = [""] * count
-
-        def targets(q: int, sources: int) -> int:
-            if sources == src[q]:
-                return tgt[q]
-            m, found = succ[q], 0
-            while sources:
-                low = sources & -sources
-                found |= m[low]
-                sources ^= low
-            return found
+        prefix = [(0, 0, 0, 0)] * count
+        swaps: list[int] = []
 
         def advance(R: int, O: int, p: int) -> Optional[tuple[int, int]]:
-            """Fire p's edges from the valued classes R (O: those at 1), then
-            those of positions <= p from each newly valued one; None on a conflict."""
-            fresh, lo = R, p
-            while True:
+            """Value p's targets (R valued classes, O those at 1), then fire
+            the swap positions <= p from each newly valued class; None on a
+            conflict."""
+            need1, need0, sw, _ = prefix[p]
+            t = rule[sig[p]][1]
+            if t is None:
+                # swap (nop is never chosen): fire p from every valued class
+                fresh, todo = R, (p,)
+            else:
+                # every other interaction gives its targets t, whatever
+                # their sources hold
+                T = tgt[p]
+                if T & (R ^ O if t else O):
+                    return None
+                fresh, todo = T & ~R, swaps
+                R |= T
+                if t:
+                    O |= T
+            while fresh & sw:
                 before = R
-                for q in range(lo, p + 1):
+                for q in todo:
                     S = src[q] & fresh
-                    if not S:
-                        continue
-                    need, t = rule[sig[q]]
-                    if t is not None:
-                        if need == 1 and S & (R ^ O) or need == 0 and S & O:
-                            return None
-                        T = targets(q, S)
-                        if t:
-                            if T & (R ^ O):
-                                return None
-                            O |= T
-                        elif T & O:
-                            return None
-                        R |= T
-                    else:
-                        # swap (nop is never chosen): the source value flipped
-                        S1 = S & O
-                        ones, zeros = targets(q, S ^ S1), targets(q, S1)
-                        if ones & zeros or ones & (R ^ O) or zeros & O:
-                            return None
-                        R |= ones | zeros
-                        O |= ones
-                fresh, lo = R ^ before, 0
-                if not fresh & upto[p]:
-                    return R, O
+                    # the source value flipped
+                    m, ones, zeros = succ[q], 0, 0
+                    while S:
+                        low = S & -S
+                        if low & O:
+                            zeros |= m[low]
+                        else:
+                            ones |= m[low]
+                        S ^= low
+                    if ones & zeros or ones & (R ^ O) or zeros & O:
+                        return None
+                    R |= ones | zeros
+                    O |= ones
+                fresh, todo = R ^ before, swaps
+            if need1 & (R ^ O) or need0 & O:
+                return None
+            return R, O
 
         def killed(R: int, O: int, p: int) -> bool:
             # solve_atom mode only: drop hypotheses that provably cannot
@@ -456,7 +465,20 @@ class _Search:
                 p -= 1
                 continue
             nxt[p] = k + 1
-            sig[p] = cands[p][k]
+            sig[p] = iname = cands[p][k]
+            # extend the prefix by p: the swap positions past p are stale
+            need, t = rule[iname]
+            n1, n0, sw, n = prefix[p - 1] if p else (0, 0, 0, 0)
+            del swaps[n:]
+            s = src[p]
+            if need == 1:
+                n1 |= s
+            elif need == 0:
+                n0 |= s
+            if t is None:
+                sw |= s
+                swaps.append(p)
+            prefix[p] = n1, n0, sw, len(swaps)
             hyps: list[Optional[tuple[int, int]]] = []
             for st in entry[p]:
                 if st is not None:
@@ -582,6 +604,16 @@ class _AtomIndex:
                     found.append((essp, e, bits))
         return found
 
+    def cover(self, cand: Candidate) -> int:
+        """The indexed atoms the candidate solves as one bitmask in atom
+        order: state j of ssp row i at bit i*|S|+j, of essp row e at bit
+        (|S|+e)*|S|+j."""
+        n = len(self.states)
+        cover = 0
+        for rows, i, bits in self.hits(cand):
+            cover |= bits << n * (i if rows is self.ssp_row else n + i)
+        return cover
+
     def remove(self, hits: list[_Hit]) -> None:
         """Clear the hit bits from their rows."""
         for rows, i, bits in hits:
@@ -699,20 +731,22 @@ def _greedy_shrink(index: _AtomIndex, atoms: list[SeparationAtom],
     witness choice is given up for the selected subset. index holds every
     atom.
     """
-    covers: list[set[SeparationAtom]] = [
-        {a for hit in index.hits(cand) for a in index.atoms(hit)}
-        for cand in solvers
-    ]
-    uncovered = set(atoms)
+    covers = [index.cover(cand) for cand in solvers]
+    uncovered = reduce(or_, covers, 0)
     picked: list[int] = []
     while uncovered:
         best = max(range(len(covers)),
-                   key=lambda r: (len(covers[r] & uncovered), -r))
+                   key=lambda r: ((covers[r] & uncovered).bit_count(), -r))
         picked.append(best)
-        uncovered -= covers[best]
+        uncovered &= ~covers[best]
     picked.sort()
-    return picked, {a: next(new for new, old in enumerate(picked)
-                            if a in covers[old]) for a in atoms}
+    # each atom's witness: the first picked solver that solves it
+    first: dict[SeparationAtom, int] = {}
+    for new, old in enumerate(picked):
+        for hit in index.hits(solvers[old]):
+            for a in index.atoms(hit):
+                first.setdefault(a, new)
+    return picked, {a: first[a] for a in atoms}
 
 
 def synthesize_net(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import bnetsynth as b
 from bnetsynth import engine
 from bnetsynth.engine import Candidate, _Search
-from bnetsynth.interactions import INTERACTION_ORDER, apply
+from bnetsynth.interactions import INTERACTION_ORDER, apply, non_nop
 from bnetsynth.ts import EsspAtom, SspAtom
 from conftest import (TYPE_0, TYPE_1, brute_force_candidates,
                       brute_force_regions, budget)
@@ -511,6 +511,63 @@ def test_criterion_06_no_within_budget():
     assert art.alpha in outcome.unsolved_atoms
 
 
+# -- the greedy shrink against the set-based version it replaced -----------------
+
+def set_based_shrink(index, atoms, solvers):
+    """engine._greedy_shrink as it was, with a set of atoms per solver, kept
+    as its reference."""
+    covers = [{a for hit in index.hits(cand) for a in index.atoms(hit)}
+              for cand in solvers]
+    uncovered = set(atoms)
+    picked = []
+    while uncovered:
+        best = max(range(len(covers)),
+                   key=lambda r: (len(covers[r] & uncovered), -r))
+        picked.append(best)
+        uncovered -= covers[best]
+    picked.sort()
+    return picked, {a: next(new for new, old in enumerate(picked)
+                            if a in covers[old]) for a in atoms}
+
+
+def assert_shrink_matches_set_based(ts, atoms, solvers):
+    picked, witness = engine._greedy_shrink(engine._AtomIndex(ts, atoms),
+                                            atoms, solvers)
+    want_picked, want_witness = set_based_shrink(
+        engine._AtomIndex(ts, atoms), atoms, solvers)
+    assert picked == want_picked
+    assert list(witness.items()) == list(want_witness.items())
+
+
+def test_shrink_matches_set_based_on_c06_yes(demo_hs):
+    art = b.reduce_t11(b.build_hs_instance(demo_hs.universe, demo_hs.sets, 3))
+    with mock.patch.object(engine, "_greedy_shrink",
+                           wraps=engine._greedy_shrink) as spy:
+        outcome = b.solve_drts(art.ts, art.default_type, art.d, shrink=True)
+    assert outcome.solvable and spy.call_count == 1
+    _, atoms, solvers = spy.call_args.args
+    assert (len(atoms), len(solvers)) == (1121, 89)
+    assert_shrink_matches_set_based(art.ts, atoms, solvers)
+
+
+@given(small_ts(max_states=5, max_events=3),
+       st.sampled_from([TYPE_1, TYPE_0, TYPE_ALL]), st.integers(1, 3),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_random_shrink_matches_set_based(ts, net_type, d, backwards):
+    # every region of the stream as a solver, in stream order or reversed,
+    # so many solvers tie on their counts, against the atoms they solve
+    solvers = list(_Search(ts, net_type, d).stream())
+    if backwards:
+        solvers.reverse()
+    atoms = b.enumerate_atoms(ts)
+    index = engine._AtomIndex(ts, atoms)
+    solved = {a for cand in solvers for hit in index.hits(cand)
+              for a in index.atoms(hit)}
+    atoms = [a for a in atoms if a in solved]
+    assert_shrink_matches_set_based(ts, atoms, solvers)
+
+
 # -- the contraction at each leaf against the components it stands for ---------
 
 def unchosen_classes(ts, chosen):
@@ -641,6 +698,29 @@ def test_line_drains_within_budget():
             line, frozenset({"nop", "inp", "out"}), 1))
     # the two constant regions, and each event as inp or as out
     assert count == 4000
+
+
+# the atom frontier one size up: six elements, six sets of two or three,
+# drawn with random.Random(5); its minimum hitting sets have three elements
+SIX_BY_SIX = [["X1", "X3", "X6"], ["X1", "X2", "X6"], ["X3", "X4"],
+              ["X4", "X5"], ["X2", "X5"], ["X2", "X6"]]
+
+
+@pytest.mark.parametrize("construction, seconds, count", [
+    ("1.2", 1.0, 600_551_828),
+    ("1.3", 8.0, 5_931_502_910),
+])
+def test_six_by_six_alpha_within_budget(construction, seconds, count):
+    inst = b.build_hs_instance([f"X{i}" for i in range(1, 7)], SIX_BY_SIX, 2)
+    art = b.reduce_instance(construction, inst)
+    stats = b.EnumerationStats()
+    with budget(seconds):
+        region = b.solve_atom(art.ts, art.default_type, art.d, art.alpha,
+                              stats=stats)
+    assert region is None and b.hs_brute_force(inst) is None
+    # a no drains the whole space
+    assert stats.candidates_examined == count == b.candidate_count_formula(
+        len(art.ts.events), len(non_nop(art.default_type)), art.d)
 
 
 # -- a class holding a source and a target of the atom's event ------------------
@@ -894,7 +974,15 @@ def test_kernel_matches_dict_watch_reference(a1, a2, a3):
     backwards = b.build_ts(["s0", "s1", "s2", "s3"], ["a", "b", "c"],
                            [("s0", "c", "s1"), ("s1", "a", "s2"),
                             ("s2", "b", "s3")], "s0")
-    for ts in (a1, a2, a3, diamond(), line, backwards):
+    # a swap edge leaving a class that only a constant target values: c's
+    # target s2 gets its value at c's position, and the swaps at the earlier
+    # positions a and b carry it on to s3 and s4, before d's edge from the
+    # initial state reaches s1; a's second edge swaps s4 into s1
+    ahead = b.build_ts([f"s{i}" for i in range(5)], ["a", "b", "c", "d"],
+                       [("s0", "d", "s1"), ("s1", "c", "s2"),
+                        ("s2", "a", "s3"), ("s3", "b", "s4"),
+                        ("s4", "a", "s1")], "s0")
+    for ts in (a1, a2, a3, diamond(), line, backwards, ahead):
         for net_type in KERNEL_TYPES:
             for d in range(len(ts.events) + 1):
                 assert_kernel_matches_reference(ts, net_type, d)
