@@ -14,14 +14,16 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+# synthesize_net is not called here, but stays a name of this module:
+# perfbench/spans.py wraps cli.synthesize_net in its traced runs
 from .engine import (EnumerationStats, SynthesisOutcome, region_solves,
                      solve_atom, solve_drts, synthesize_net, verify_lemma1)
 from .interactions import parse_type
 from .nets import DEFAULT_REACH_CAP, reachability_graph, read_net, write_net
 from .reductions import (CONSTRUCTIONS, hs_brute_force, read_hs,
                          reduce_instance, render_meta)
-from .regions import (diagnose_expansion, parse_region, render_region_of,
-                      restriction_count)
+from .regions import (diagnose_expansion, parse_region, render_region,
+                      render_region_of, restriction_count)
 from .ts import (enumerate_atoms, parse_atom, read_ts, render_ts,
                  spanning_tree, validate_atom)
 
@@ -37,11 +39,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _render_witnesses(ts, outcome: SynthesisOutcome) -> str:
-    blocks = []
-    for idx, region in enumerate(outcome.admissible_set):
-        blocks.append(f"# region {idx}\n" + render_region_of(region, ts))
-    return "\n".join(blocks)
+def _render_witnesses(outcome) -> str:
+    return "\n".join(f"# region {idx}\n" + render_region(bit, signature)
+                     for idx, (bit, signature) in enumerate(outcome.forms()))
 
 
 def _render_report(ts, outcome: SynthesisOutcome) -> str:
@@ -72,18 +72,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.stats:
         _print_stats(outcome.stats)
     if args.witnesses:
-        _write_text(args.witnesses, _render_witnesses(ts, outcome))
+        _write_text(args.witnesses, _render_witnesses(outcome))
     if args.report:
         _write_text(args.report, _render_report(ts, outcome))
     if outcome.solvable:
         print("solvable")
         if args.net:
-            write_net(args.net, synthesize_net(ts, outcome.admissible_set,
-                                               net_type))
+            write_net(args.net, outcome.net())
         return 0
-    print("unsolvable")
-    for atom in outcome.unsolved_atoms:
-        print(f"unsolved {atom}")
+    # the unsolved atoms' text, read off the open rows of the atom index
+    print("\n".join(["unsolvable"] + [f"unsolved {atom}" for atom
+                                       in outcome.index.open_text()]))
     return 1
 
 

@@ -34,25 +34,31 @@ region can give one value.
 
 solve_drts checks the canonical stream against every open atom at once
 while many are open, and searches for each of the last few on its own,
-from the level it has reached. The counters come from the answer alone,
-never from the path that found it: candidates_examined is the answer's
-rank, and valid_regions the number of solving regions found.
+from the level it has reached. The atoms are bitmask rows built from the
+TS, and the outcome keeps each solver as the search yields it: a Region
+or an atom object is built only when a caller reads one. The counters
+come from the answer alone, never from the path that found it:
+candidates_examined is the answer's rank, and valid_regions the number
+of solving regions found.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress, repeat
 from math import comb
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional
 
 from . import interactions
 from .interactions import INTERACTION_ORDER, PARTIAL, apply as apply_i
 from .nets import BooleanNet, InvalidNet, build_net, reachability_graph
-from .regions import Region, solves_essp, solves_ssp, validate_region
+from .regions import (Edge, Region, _check_signature, solves_essp, solves_ssp,
+                      validate_region)
+# enumerate_atoms is not called here, but stays a name of this module:
+# perfbench/spans.py wraps engine.enumerate_atoms in its traced runs
 from .ts import (EsspAtom, SeparationAtom, SspAtom, TransitionSystem,
                  enumerate_atoms, isomorphic, validate_atom)
 
@@ -91,6 +97,11 @@ Candidate = tuple[int, tuple[int, ...], tuple[str, ...]]
 
 @dataclass
 class SynthesisOutcome:
+    """A verdict with its admissible regions, each atom's witness among
+    them, and the atoms left unsolved, all in canonical order.
+
+    solve_drts returns one whose three lists are built on first access.
+    """
     solvable: bool
     admissible_set: list[Region]
     witness_map: dict[SeparationAtom, int]
@@ -98,8 +109,12 @@ class SynthesisOutcome:
     stats: EnumerationStats
 
 
+# each interaction's values at 0 and at 1, None where it is undefined
+_AT = {i: (apply_i(i, 0), apply_i(i, 1)) for i in INTERACTION_ORDER}
+
+
 def _rule(i: str) -> tuple[Optional[int], Optional[int]]:
-    at = (apply_i(i, 0), apply_i(i, 1))
+    at = _AT[i]
     gives = set(at) - {None}
     return (at.index(None) ^ 1 if None in at else None,
             gives.pop() if len(gives) == 1 else None)
@@ -564,25 +579,39 @@ class _AtomIndex:
     """Separation atoms as bitmasks over state indices.
 
     ssp_row[i] holds the states j > i of the atoms ssp:i,j; essp_row[e]
-    holds the states s of the atoms essp:e,s. A candidate solves the row
-    bits on the far side of its support cut (ssp), or on the side where
-    its partial interaction at e is undefined (essp). ssp_live lists the
-    ssp rows that still hold atoms.
+    holds the states s of the atoms essp:e,s. Without a list of atoms the
+    rows hold every atom of the TS, read off ts.delta: ssp row i the states
+    above i, essp row e the states where e is not enabled. A candidate
+    solves the row bits on the far side of its support cut (ssp), or on
+    the side where its partial interaction at e is undefined (essp).
+    ssp_live lists the ssp rows that still hold atoms, and open counts the
+    atoms of all rows.
     """
 
-    def __init__(self, ts: TransitionSystem, atoms: list[SeparationAtom]):
+    def __init__(self, ts: TransitionSystem,
+                 atoms: Optional[list[SeparationAtom]] = None):
         self.states = ts.states
         self.events = ts.events
         sidx = {s: i for i, s in enumerate(ts.states)}
         eidx = {e: i for i, e in enumerate(ts.events)}
-        self.ssp_row = [0] * len(ts.states)
-        self.essp_row = [0] * len(ts.events)
-        for a in atoms:
-            if isinstance(a, SspAtom):
-                self.ssp_row[sidx[a.s1]] |= 1 << sidx[a.s2]
-            else:
-                self.essp_row[eidx[a.event]] |= 1 << sidx[a.state]
+        if atoms is None:
+            everyone = (1 << len(ts.states)) - 1
+            self.ssp_row = [everyone ^ ((2 << i) - 1)
+                            for i in range(len(ts.states))]
+            self.essp_row = [everyone] * len(ts.events)
+            for s, e in ts.delta:
+                self.essp_row[eidx[e]] &= ~(1 << sidx[s])
+        else:
+            self.ssp_row = [0] * len(ts.states)
+            self.essp_row = [0] * len(ts.events)
+            for a in atoms:
+                if isinstance(a, SspAtom):
+                    self.ssp_row[sidx[a.s1]] |= 1 << sidx[a.s2]
+                else:
+                    self.essp_row[eidx[a.event]] |= 1 << sidx[a.state]
         self.ssp_live = [i for i, row in enumerate(self.ssp_row) if row]
+        self.open = sum(row.bit_count()
+                        for row in self.ssp_row + self.essp_row)
 
     def hits(self, cand: Candidate) -> list[_Hit]:
         """The indexed atoms the candidate solves, row by row in atom order."""
@@ -618,21 +647,40 @@ class _AtomIndex:
         """Clear the hit bits from their rows."""
         for rows, i, bits in hits:
             rows[i] &= ~bits
+            self.open -= bits.bit_count()
         ssp = self.ssp_row
         self.ssp_live = [i for i in self.ssp_live if ssp[i]]
 
-    def atoms(self, hit: _Hit) -> Iterator[SeparationAtom]:
-        """The atoms of one row's bits, in atom order."""
-        rows, i, bits = hit
+    def _states(self, bits: int) -> Iterator[str]:
         states = self.states
         while bits:
             low = bits & -bits
             bits ^= low
-            s = states[low.bit_length() - 1]
-            if rows is self.ssp_row:
-                yield SspAtom(states[i], s)
-            else:
-                yield EsspAtom(self.events[i], s)
+            yield states[low.bit_length() - 1]
+
+    def atoms(self, hit: _Hit) -> Iterator[SeparationAtom]:
+        """The atoms of one row's bits, in atom order."""
+        rows, i, bits = hit
+        if rows is self.ssp_row:
+            s1 = self.states[i]
+            return (SspAtom(s1, s) for s in self._states(bits))
+        e = self.events[i]
+        return (EsspAtom(e, s) for s in self._states(bits))
+
+    def open_atoms(self) -> Iterator[SeparationAtom]:
+        """The atoms the rows hold, in atom order, that of enumerate_atoms."""
+        for rows in (self.ssp_row, self.essp_row):
+            for i, bits in enumerate(rows):
+                yield from self.atoms((rows, i, bits))
+
+    def open_text(self) -> Iterator[str]:
+        """str() of each atom open_atoms yields, without building it."""
+        for kind, rows, names in (("ssp", self.ssp_row, self.states),
+                                  ("essp", self.essp_row, self.events)):
+            for i, bits in enumerate(rows):
+                prefix = f"{kind}:{names[i]},"
+                for s in self._states(bits):
+                    yield prefix + s
 
 
 # solve_drts stops its stream before the first level at which at most this
@@ -651,40 +699,40 @@ def solve_drts(
 ) -> SynthesisOutcome:
     """Decide whether a d-restricted admissible set exists, and collect one.
 
-    The unsolved atoms are kept as bitmask rows over state indices, and
-    each candidate is checked against all of them at once, from its support
-    bitmask and its chosen interactions; only a candidate that solves some
-    atom becomes a Region, kept as the witness of every atom it solves
-    first. The candidates come from the canonical stream, one restriction
-    level at a time, while more than _PER_ATOM_LIMIT atoms are open.
-    Before the first level where at most that many are, the stream stops:
-    each open atom's first solver from that level on is found by its own
-    pruned search, as in solve_atom, and those finds are checked in
-    canonical order instead. Either way the solvers, witnesses and counters
-    are the same. The search stops once every atom is solved. An
-    unsolvable verdict reflects a fully drained stream, or a search
-    exhausted for each atom left open at the switch.
+    The atoms are kept as bitmask rows over state indices, built from the
+    TS, and each candidate is checked against all open atoms at once, from
+    its support bitmask and its chosen interactions. A candidate that
+    solves some atom is kept as it is, with the row bits it solves first;
+    its Region, and the atom objects of the witness map and the unsolved
+    list, are built only when the outcome's fields are read. The
+    candidates come from the canonical stream, one restriction level at a
+    time, while more than _PER_ATOM_LIMIT atoms are open. Before the first
+    level where at most that many are, the stream stops: each open atom's
+    first solver from that level on is found by its own pruned search, as
+    in solve_atom, and those finds are checked in canonical order instead.
+    Either way the solvers, witnesses and counters are the same. The
+    search stops once every atom is solved. An unsolvable verdict reflects
+    a fully drained stream, or a search exhausted for each atom left open
+    at the switch.
     """
     t0 = time.monotonic()
     search = _Search(ts, net_type, d)
     stats = EnumerationStats()
-    atoms = enumerate_atoms(ts)
-    admissible: list[Region] = []
+    index = _AtomIndex(ts)
     solvers: list[Candidate] = []
-    witness: dict[SeparationAtom, int] = {}
-    if atoms:
-        index = _AtomIndex(ts, atoms)
+    # the rows' bits each solver solved first, one list per solver
+    solved: list[list[_Hit]] = []
+    if index.open:
         for c in search.levels:
-            open_count = len(atoms) - len(witness)
-            if not open_count:
+            if not index.open:
                 break
-            per_atom = open_count <= _PER_ATOM_LIMIT
+            per_atom = index.open <= _PER_ATOM_LIMIT
             source: Iterable[Candidate]
             if per_atom:
                 # a find shared by several atoms solves none of them the
                 # second time, so the loop below takes it once
                 finds = [_first_solver(ts, net_type, d, a, c)[1]
-                         for a in atoms if a not in witness]
+                         for a in index.open_atoms()]
                 source = sorted((f for f in finds if f is not None),
                                 key=search.rank)
             else:
@@ -693,32 +741,84 @@ def solve_drts(
                 hits = index.hits(cand)
                 if not hits:
                     continue
-                for hit in hits:
-                    for a in index.atoms(hit):
-                        witness[a] = len(solvers)
                 solvers.append(cand)
+                solved.append(hits)
                 index.remove(hits)
-                if len(witness) == len(atoms):
+                if not index.open:
                     break
             if per_atom:
                 break
-        solvable = len(witness) == len(atoms)
         stats.candidates_examined = search.rank(
-            solvers[-1] if solvable else None)
+            None if index.open else solvers[-1])
         stats.valid_regions = len(solvers)
-        if solvable and shrink:
-            picked, witness = _greedy_shrink(_AtomIndex(ts, atoms), atoms,
-                                             solvers)
-            solvers = [solvers[r] for r in picked]
-        admissible = [search.region(cand) for cand in solvers]
+    witness = None
+    if shrink and solvers and not index.open:
+        every = _AtomIndex(ts)
+        picked, witness = _greedy_shrink(every, list(every.open_atoms()),
+                                         solvers)
+        solvers = [solvers[r] for r in picked]
     stats.elapsed = time.monotonic() - t0
-    return SynthesisOutcome(
-        solvable=len(witness) == len(atoms),
-        admissible_set=admissible,
-        witness_map=witness,
-        unsolved_atoms=[a for a in atoms if a not in witness],
-        stats=stats,
-    )
+    return _CompactOutcome(ts, net_type, search, index, solvers, solved,
+                           stats, witness)
+
+
+class _CompactOutcome(SynthesisOutcome):
+    """solve_drts's outcome in the search's bit form.
+
+    It keeps the solvers as candidates, the rows' bits each one solved
+    first, and the index, whose rows hold the atoms left open. The three
+    lists of a SynthesisOutcome are built from these on first access, with
+    the values, the order and the types solve_drts has always returned.
+    forms(), net() and index.open_text() give the CLI's outputs from these
+    directly.
+    """
+
+    def __init__(self, ts: TransitionSystem, net_type: frozenset[str],
+                 search: _Search, index: _AtomIndex,
+                 solvers: list[Candidate], solved: list[list[_Hit]],
+                 stats: EnumerationStats,
+                 witness: Optional[dict[SeparationAtom, int]] = None):
+        self.solvable = not index.open
+        self.stats = stats
+        self.ts = ts
+        self.net_type = net_type
+        self.search = search
+        self.index = index
+        self.solvers = solvers
+        self.solved = solved
+        if witness is not None:
+            # after a shrink: solved still lists the unshrunk solvers' hits
+            self.witness_map = witness
+
+    @cached_property
+    def admissible_set(self) -> list[Region]:
+        return [self.search.region(cand) for cand in self.solvers]
+
+    @cached_property
+    def witness_map(self) -> dict[SeparationAtom, int]:
+        atoms = self.index.atoms
+        return {a: r for r, hits in enumerate(self.solved)
+                for hit in hits for a in atoms(hit)}
+
+    @cached_property
+    def unsolved_atoms(self) -> list[SeparationAtom]:
+        return list(self.index.open_atoms())
+
+    def forms(self) -> Iterator[tuple[int, dict[str, str]]]:
+        """Each admissible region's implicit form: its support at the
+        initial state and its non-nop signature."""
+        init, events = self.search.init_idx, self.search.events
+        for mask, chosen, sigs in self.solvers:
+            yield (mask >> init & 1,
+                   {events[j]: i for j, i in zip(chosen, sigs)})
+
+    def net(self) -> BooleanNet:
+        """synthesize_net(ts, admissible_set, net_type), with each solver
+        checked in its bit form instead of as a Region."""
+        check = _EdgeCheck(self.ts, self.net_type)
+        return _net(self.ts, self.net_type,
+                    ((check.first_bad_edge(cand), bit, sig.items())
+                     for cand, (bit, sig) in zip(self.solvers, self.forms())))
 
 
 def _greedy_shrink(index: _AtomIndex, atoms: list[SeparationAtom],
@@ -749,28 +849,102 @@ def _greedy_shrink(index: _AtomIndex, atoms: list[SeparationAtom],
     return picked, {a: first[a] for a in atoms}
 
 
+def _broken(i: str, src: int, dst: int) -> int:
+    """The edges interaction i does not respect, as bits over edges, given
+    the support at each edge's source (src) and at its target (dst)."""
+    bad = 0
+    for at, side in zip(_AT[i], (~src, src)):
+        bad |= side & (-1 if at is None else ~dst if at else dst)
+    return bad
+
+
+class _EdgeCheck:
+    """validate_region on a candidate, without its Region: the same
+    verdict, the same first bad edge in ts.edges order, and the same
+    InvalidRegion for an interaction outside the type.
+
+    A candidate's support bits are gathered at the edges' sources and at
+    their targets into two ints, edge k of ts.edges at bit k; each event's
+    edges are a mask over the same bits.
+    """
+
+    def __init__(self, ts: TransitionSystem, net_type: frozenset[str]):
+        self.ts = ts
+        self.net_type = net_type
+        self.allowed = net_type & frozenset(INTERACTION_ORDER)
+        n = len(ts.states)
+        sidx = {s: i for i, s in enumerate(ts.states)}
+        eidx = {e: i for i, e in enumerate(ts.events)}
+        # The gathers read a string whose char j is state j's support and
+        # whose char n is "1". They take char n, then the edges from the
+        # last to the first, so the digits read as a binary number put
+        # edge k at bit k, and a 1 above the edges that no edge mask keeps.
+        self.at_srcs = itemgetter(n, *(sidx[u] for u, _, _ in
+                                       reversed(ts.edges)))
+        self.at_dsts = itemgetter(n, *(sidx[v] for _, _, v in
+                                       reversed(ts.edges)))
+        self.by_event = [0] * len(ts.events)
+        for k, (_, e, _) in enumerate(ts.edges):
+            self.by_event[eidx[e]] |= 1 << k
+        self.every_edge = (1 << len(ts.edges)) - 1
+        self.top = 1 << n
+
+    def first_bad_edge(self, cand: Candidate) -> Optional[Edge]:
+        mask, chosen, sigs = cand
+        events = self.ts.events
+        if not (self.allowed.issuperset(sigs) and
+                ("nop" in self.allowed or len(chosen) == len(events))):
+            # some interaction is unknown or outside the type: raise the
+            # error validate_region raises on the Region
+            signature = dict.fromkeys(events, "nop")
+            signature.update((events[j], i) for j, i in zip(chosen, sigs))
+            _check_signature(self.ts, self.net_type, signature)
+        bits = bin(mask | self.top)[:1:-1]
+        src = int("".join(self.at_srcs(bits)), 2)
+        dst = int("".join(self.at_dsts(bits)), 2)
+        nop, bad = self.every_edge, 0
+        for j, i in zip(chosen, sigs):
+            edges = self.by_event[j]
+            nop &= ~edges
+            bad |= edges & _broken(i, src, dst)
+        bad |= nop & _broken("nop", src, dst)
+        return self.ts.edges[(bad & -bad).bit_length() - 1] if bad else None
+
+
+def _net(ts: TransitionSystem, net_type: frozenset[str],
+         places: Iterable[tuple[Optional[Edge], int,
+                                Iterable[tuple[str, str]]]]) -> BooleanNet:
+    """One place per (first bad edge, initial bit, signature entries), p0,
+    p1, ... in order, flow = the non-nop entries; ValueError at the first
+    place with a bad edge."""
+    flow: dict[tuple[str, str], str] = {}
+    marking: dict[str, int] = {}
+    names = []
+    for idx, (bad, bit, signature) in enumerate(places):
+        if bad is not None:
+            raise ValueError(
+                f"region {idx} does not validate (first bad edge {bad})")
+        p = f"p{idx}"
+        names.append(p)
+        marking[p] = bit
+        for e, i in signature:
+            if i != "nop":
+                flow[(p, e)] = i
+    return build_net(names, ts.events, net_type, flow, marking)
+
+
 def synthesize_net(
     ts: TransitionSystem,
     regions: list[Region],
     net_type: frozenset[str],
 ) -> BooleanNet:
     """One place per region (p0, p1, ... in list order), flow = signatures."""
-    flow: dict[tuple[str, str], str] = {}
-    marking: dict[str, int] = {}
-    places = []
-    for idx, region in enumerate(regions):
-        ok, violation = validate_region(ts, net_type, region)
-        if not ok:
-            raise ValueError(
-                f"region {idx} does not validate (first bad edge {violation})")
-        p = f"p{idx}"
-        places.append(p)
-        marking[p] = region.support[ts.initial]
-        for e in ts.events:
-            i = region.signature[e]
-            if i != "nop":
-                flow[(p, e)] = i
-    return build_net(places, ts.events, net_type, flow, marking)
+    def places():
+        for region in regions:
+            _, bad = validate_region(ts, net_type, region)
+            yield (bad, region.support[ts.initial],
+                   ((e, region.signature[e]) for e in ts.events))
+    return _net(ts, net_type, places())
 
 
 def verify_lemma1(ts: TransitionSystem, net: BooleanNet) -> bool:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import bnetsynth as b
+from bnetsynth import cli, engine
 from bnetsynth.cli import main
+from bnetsynth.regions import render_region_of
 from conftest import DEMO_HS, budget
 
 A1_TS = ".model ts\n.initial s0\n.edge s0 a s1\n.edge s1 a s0\n"
@@ -394,6 +396,69 @@ def test_demo_t12_synth_within_budget(files, capsys, demo_hs, kappa):
         assert b.verify_lemma1(art.ts, b.read_net(net))
     else:
         assert f"unsolved {art.alpha}\n" in out
+
+
+def line_ts(n):
+    """A line of n states, its events in canonical order."""
+    states = [f"s{i:02}" for i in range(n)]
+    events = [f"e{i:02}" for i in range(n - 1)]
+    return b.build_ts(states, events, [(states[i], e, states[i + 1])
+                                       for i, e in enumerate(events)],
+                      states[0])
+
+
+def c06_yes():
+    demo = b.parse_hs(DEMO_HS)
+    art = b.reduce_t11(b.build_hs_instance(demo.universe, demo.sets, 3))
+    return art.ts, art.default_type, art.d
+
+
+SYNTH_CASES = {
+    "line-d2": lambda: (line_ts(40), frozenset({"nop", "inp", "out"}), 2),
+    "line-d1": lambda: (line_ts(40), frozenset({"nop", "inp", "out"}), 1),
+    "c06-yes": c06_yes,
+}
+
+
+@pytest.mark.parametrize("shrink", [False, True])
+@pytest.mark.parametrize("case", list(SYNTH_CASES))
+def test_synth_writes_from_the_bit_form(files, capsys, monkeypatch, case,
+                                        shrink):
+    # without --report, synth builds no Region and no atom list; its net,
+    # witnesses and unsolved lines equal those of the Region path
+    _, tmp = files
+    ts, net_type, d = SYNTH_CASES[case]()
+    path, net, wit = (str(tmp / name) for name in ("in.ts", "out.net",
+                                                   "out.wit"))
+    b.write_ts(path, ts)
+    regions, atom_lists = [], []
+    build_region = engine._Search.region
+    monkeypatch.setattr(engine._Search, "region", lambda self, cand: (
+        regions.append(cand), build_region(self, cand))[1])
+    for module in (engine, cli):
+        monkeypatch.setattr(module, "enumerate_atoms", lambda ts: (
+            atom_lists.append(ts), b.enumerate_atoms(ts))[1])
+    code = run("synth", "--ts", path, "--type", b.format_type(net_type),
+               "--d", str(d), "--net", net, "--witnesses", wit,
+               *(["--shrink"] if shrink else []))
+    monkeypatch.undo()
+    assert (len(regions), len(atom_lists)) == (0, 0)
+
+    outcome = b.solve_drts(ts, net_type, d, shrink=shrink)
+    assert code == (0 if outcome.solvable else 1)
+    assert outcome.solvable == (case != "line-d1")
+    out = capsys.readouterr().out
+    if outcome.solvable:
+        assert out == "solvable\n"
+        assert Path(net).read_text(encoding="utf-8") == b.render_net(
+            b.synthesize_net(ts, outcome.admissible_set, net_type))
+    else:
+        assert out == "unsolvable\n" + "".join(
+            f"unsolved {atom}\n" for atom in outcome.unsolved_atoms)
+        assert not Path(net).exists()
+    assert Path(wit).read_text(encoding="utf-8") == "\n".join(
+        f"# region {idx}\n" + render_region_of(region, ts)
+        for idx, region in enumerate(outcome.admissible_set))
 
 
 def test_console_entry_point(files):

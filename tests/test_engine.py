@@ -10,6 +10,7 @@ import bnetsynth as b
 from bnetsynth import engine
 from bnetsynth.engine import Candidate, _Search
 from bnetsynth.interactions import INTERACTION_ORDER, apply, non_nop
+from bnetsynth.reductions import CONSTRUCTIONS
 from bnetsynth.ts import EsspAtom, SspAtom
 from conftest import (TYPE_0, TYPE_1, brute_force_candidates,
                       brute_force_regions, budget)
@@ -566,6 +567,105 @@ def test_random_shrink_matches_set_based(ts, net_type, d, backwards):
               for a in index.atoms(hit)}
     atoms = [a for a in atoms if a in solved]
     assert_shrink_matches_set_based(ts, atoms, solvers)
+
+
+# -- solve_drts in bit form: atom rows, the region check and the net ----------
+
+def assert_rows_match_the_atom_list(ts):
+    atoms = b.enumerate_atoms(ts)
+    built, listed = engine._AtomIndex(ts), engine._AtomIndex(ts, atoms)
+    assert (built.ssp_row, built.essp_row, built.ssp_live, built.open) == \
+        (listed.ssp_row, listed.essp_row, listed.ssp_live, len(atoms))
+    assert list(built.open_atoms()) == atoms
+    assert list(built.open_text()) == list(map(str, atoms))
+
+
+def test_atom_rows_from_the_ts_match_the_atom_list(a1, a2, a3, demo_hs):
+    compiled = [b.reduce_instance(c, demo_hs).ts for c in CONSTRUCTIONS]
+    for ts in [a1, a2, a3, diamond()] + compiled:
+        assert_rows_match_the_atom_list(ts)
+
+
+@given(small_ts(max_states=6, max_events=4))
+@settings(max_examples=60, deadline=None)
+def test_random_atom_rows_match_the_atom_list(ts):
+    assert_rows_match_the_atom_list(ts)
+
+
+def first_bad_edge_or_error(check, *args):
+    """check's first bad edge, or the InvalidRegion message it raised."""
+    try:
+        return check(*args)
+    except b.InvalidRegion as exc:
+        return f"InvalidRegion: {exc}"
+
+
+def assert_edge_check_matches_validate_region(ts, net_type, cands):
+    search = _Search(ts, net_type, 0)
+    check = engine._EdgeCheck(ts, net_type)
+    seen = set()
+    for cand in cands:
+        want = first_bad_edge_or_error(
+            lambda: b.validate_region(ts, net_type, search.region(cand))[1])
+        assert first_bad_edge_or_error(check.first_bad_edge, cand) == want, \
+            cand
+        seen.add(type(want))
+    return seen
+
+
+def flipped(cands, n_states):
+    """Each candidate with the support of one state flipped, by turns."""
+    return [(mask ^ 1 << k % n_states, chosen, sigs)
+            for k, (mask, chosen, sigs) in enumerate(cands)]
+
+
+def test_edge_check_matches_validate_region(a1, a2, a3):
+    seen = set()
+    for ts in (a1, a2, a3, diamond()):
+        valid = list(_Search(ts, TYPE_ALL, len(ts.events)).stream())
+        for net_type in (TYPE_1, TYPE_0, TYPE_ALL, TYPE_ALL - {"nop"}):
+            seen |= assert_edge_check_matches_validate_region(
+                ts, net_type, valid + flipped(valid, len(ts.states)))
+    # valid regions, bad edges and signatures outside the type all occur
+    assert seen == {type(None), tuple, str}
+
+
+@st.composite
+def candidate_of(draw, ts):
+    """Any candidate over ts: a support, chosen events ascending, and their
+    interactions, nop and an unknown name included."""
+    mask = draw(st.integers(0, (1 << len(ts.states)) - 1))
+    chosen = tuple(sorted(draw(st.sets(st.integers(0, len(ts.events) - 1)))))
+    sigs = tuple(draw(st.sampled_from(INTERACTION_ORDER + ("flip",)))
+                 for _ in chosen)
+    return mask, chosen, sigs
+
+
+@given(st.data(), small_ts(max_states=5, max_events=4),
+       st.frozensets(st.sampled_from(INTERACTION_ORDER)))
+@settings(max_examples=200, deadline=None)
+def test_random_edge_check_matches_validate_region(data, ts, net_type):
+    valid = list(_Search(ts, TYPE_ALL, 2).stream())
+    drawn = [data.draw(candidate_of(ts)) for _ in range(5)]
+    assert_edge_check_matches_validate_region(
+        ts, net_type, valid + flipped(valid, len(ts.states)) + drawn)
+
+
+def test_outcome_net_keeps_the_region_check(a3):
+    outcome = b.solve_drts(a3, TYPE_ALL, 2)
+    assert outcome.solvable and len(outcome.solvers) > 1
+    assert b.render_net(outcome.net()) == b.render_net(
+        b.synthesize_net(a3, outcome.admissible_set, TYPE_ALL))
+    # s3 flipped in the second solver breaks the edge s2 -c-> s3 alone
+    mask, chosen, sigs = outcome.solvers[1]
+    outcome.solvers[1] = mask ^ 1 << 3, chosen, sigs
+    regions = [outcome.search.region(cand) for cand in outcome.solvers]
+    with pytest.raises(ValueError) as want:
+        b.synthesize_net(a3, regions, TYPE_ALL)
+    with pytest.raises(ValueError) as got:
+        outcome.net()
+    assert str(got.value) == str(want.value) == \
+        "region 1 does not validate (first bad edge ('s2', 'c', 's3'))"
 
 
 # -- the contraction at each leaf against the components it stands for ---------
