@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 # synthesize_net is not called here, but stays a name of this module:
@@ -158,7 +159,9 @@ def cmd_reach(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bnetsynth",
         description="Boolean net synthesis, region checking, and "

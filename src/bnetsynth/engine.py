@@ -35,11 +35,15 @@ region can give one value.
 solve_drts checks the canonical stream against every open atom at once
 while many are open, and searches for each of the last few on its own,
 from the level it has reached. The atoms are bitmask rows built from the
-TS, and the outcome keeps each solver as the search yields it: a Region
-or an atom object is built only when a caller reads one. The counters
-come from the answer alone, never from the path that found it:
-candidates_examined is the answer's rank, and valid_regions the number
-of solving regions found.
+TS. Once no ssp atom is open, the stream skips a subset whose chosen
+events solve no open essp atom whatever their interactions: essp:e,s needs
+e chosen as a partial interaction, and s outside every class holding a
+source of e, since the interaction is defined at that source's value and
+its class shares it. The outcome keeps each solver as the search yields
+it: a Region or an atom object is built only when a caller reads one.
+The counters come from the answer alone, never from the path that found
+it: candidates_examined is the answer's rank, and valid_regions the
+number of solving regions found.
 """
 
 from __future__ import annotations
@@ -152,6 +156,7 @@ class _Search:
             self.edges_by_event[self.event_idx[e]].append(
                 (self.state_idx[src], self.state_idx[dst]))
         self.non_nop = interactions.non_nop(net_type)
+        self.partials = tuple(i for i in self.non_nop if i in PARTIAL)
         # the subset sizes searched: without nop every event is chosen
         self.levels = [c for c in range(min(d, self.n_events) + 1)
                        if "nop" in net_type or c == self.n_events]
@@ -182,8 +187,7 @@ class _Search:
             self.forced_event = self.event_idx[atom.event]
             self.atom_s = self.state_idx[atom.state]
             e_edges = self.edges_by_event[self.forced_event]
-            cand = tuple(i for i in self.non_nop if i in PARTIAL)
-            self.essp_cands = cand
+            self.essp_cands = cand = self.partials
             # the partials that give the value they need (used/free), the
             # only ones a class holding a source and a target of the event
             # leaves
@@ -292,9 +296,11 @@ class _Search:
             r = r * nn + self.non_nop.index(iname)
         return below + 2 * r + (mask >> self.init_idx & 1) + 1
 
-    def _subset_dfs(self, count: int) -> Iterator[Candidate]:
+    def _subset_dfs(self, count: int, index: Optional[_AtomIndex] = None
+                    ) -> Iterator[Candidate]:
         """The subsets of count events in lexicographic order, each reaching
-        _assignments with every other event contracted.
+        _assignments with every other event contracted, unless
+        index.may_solve rules it out.
 
         One stack of ranges: a frame (k, lo, hi, clo, chi, mark) rolls the
         union-find back to mark, keeps the first k chosen events, contracts
@@ -338,7 +344,8 @@ class _Search:
                 stack.append((k, lo, mid, mid, hi, mark))
             else:
                 chosen.append(lo)
-                yield from self._assignments(chosen)
+                if index is None or index.may_solve(self, chosen):
+                    yield from self._assignments(chosen)
         self._rollback_uf(base)
 
     # -- per-subset assignment search ---------------------------------------
@@ -633,6 +640,28 @@ class _AtomIndex:
                     found.append((essp, e, bits))
         return found
 
+    def may_solve(self, search: _Search, chosen: list[int]) -> bool:
+        """Can an assignment of the chosen events, every other event
+        contracted in search, solve an open atom? Only the chosen events'
+        essp rows are tested, once no ssp atom is open (see solve_drts)."""
+        if self.ssp_live:
+            return True
+        if not search.partials:
+            return False
+        parent, cls = search.uf_parent, search.uf_mask
+        essp, edges = self.essp_row, search.edges_by_event
+        for e in chosen:
+            row = essp[e]
+            for u, _ in edges[e]:
+                if not row:
+                    break
+                while parent[u] != u:  # _find, inlined for speed
+                    u = parent[u]
+                row &= ~cls[u]
+            if row:
+                return True
+        return False
+
     def cover(self, cand: Candidate) -> int:
         """The indexed atoms the candidate solves as one bitmask in atom
         order: state j of ssp row i at bit i*|S|+j, of essp row e at bit
@@ -710,6 +739,11 @@ def solve_drts(
     level where at most that many are, the stream stops: each open atom's
     first solver from that level on is found by its own pruned search, as
     in solve_atom, and those finds are checked in canonical order instead.
+    Once no ssp atom is open, the stream passes a subset to its
+    assignment search only if some chosen event's essp row holds a state
+    outside every class with a source of that event (_AtomIndex.may_solve):
+    a partial interaction is defined at each source's value, so it cannot
+    solve essp at a state that shares it. A skipped subset holds no solver.
     Either way the solvers, witnesses and counters are the same. The
     search stops once every atom is solved. An unsolvable verdict reflects
     a fully drained stream, or a search exhausted for each atom left open
@@ -736,7 +770,7 @@ def solve_drts(
                 source = sorted((f for f in finds if f is not None),
                                 key=search.rank)
             else:
-                source = search._subset_dfs(c)
+                source = search._subset_dfs(c, index)
             for cand in source:
                 hits = index.hits(cand)
                 if not hits:

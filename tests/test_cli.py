@@ -461,6 +461,42 @@ def test_synth_writes_from_the_bit_form(files, capsys, monkeypatch, case,
         for idx, region in enumerate(outcome.admissible_set))
 
 
+def test_main_builds_its_parser_once(files, capsys, monkeypatch):
+    # a synth, a usage error and an atom in one process give what a freshly
+    # built parser gives, call by call
+    put, tmp = files
+    ts = put("a1.ts", A1_TS)
+    calls = [
+        ["synth", "--ts", ts, "--type", "nop,set,swap,used", "--d", "1",
+         "--net", str(tmp / "out.net"), "--witnesses", str(tmp / "out.wit"),
+         "--stats"],
+        ["synth", "--ts", ts, "--type", "nop", "--d", "one"],
+        ["atom", "--ts", ts, "--type", "nop,swap", "--d", "1",
+         "--atom", "ssp:s0,s1", "--stats"],
+    ]
+
+    def outputs():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            seen.append((code, out, re.sub(r"elapsed=\S+", "", err)))
+        return seen + [(tmp / "out.net").read_bytes(),
+                       (tmp / "out.wit").read_bytes()]
+
+    parser = cli._build_parser()
+    cached = [outputs(), outputs()]
+    assert cli._build_parser() is parser
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [outputs(), outputs()]
+    assert [code for code, _, _ in cached[0][:3]] == [0, 2, 0]
+    assert "invalid int value: 'one'" in cached[0][1][2]
+    assert cached == fresh
+
+
 def test_console_entry_point(files):
     put, _ = files
     hs = put("inst.hs", DEMO_HS)

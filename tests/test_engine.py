@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 from typing import Iterator, Optional
 from unittest import mock
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import bnetsynth as b
 from bnetsynth import engine
 from bnetsynth.engine import Candidate, _Search
-from bnetsynth.interactions import INTERACTION_ORDER, apply, non_nop
+from bnetsynth.interactions import (INTERACTION_ORDER, PARTIAL, apply,
+                                    non_nop)
 from bnetsynth.reductions import CONSTRUCTIONS
 from bnetsynth.ts import EsspAtom, SspAtom
 from conftest import (TYPE_0, TYPE_1, brute_force_candidates,
@@ -510,6 +512,100 @@ def test_criterion_06_no_within_budget():
         outcome = b.solve_drts(art.ts, art.default_type, art.d)
     assert not outcome.solvable
     assert art.alpha in outcome.unsolved_atoms
+
+
+# -- the stream's leaf check against an unfiltered stream --------------------------
+
+FILTER_TYPES = [frozenset(t.split(",")) for t in (
+    "nop,inp,out", "nop,used,free", "nop,set,swap")] + [TYPE_ALL]
+
+
+def shuffled_line(n, rng):
+    """A line of n states, its events permuted by rng."""
+    states = [f"s{i:03}" for i in range(n)]
+    events = [f"e{i:03}" for i in range(n - 1)]
+    rng.shuffle(events)
+    return b.build_ts(states, events, [(states[i], e, states[i + 1])
+                                       for i, e in enumerate(events)],
+                      states[0])
+
+
+def unfiltered():
+    return mock.patch.object(engine._AtomIndex, "may_solve",
+                             return_value=True)
+
+
+def count_assignments():
+    """A spy on the subsets that reach _Search._assignments."""
+    return mock.patch.object(_Search, "_assignments", autospec=True,
+                             side_effect=_Search._assignments)
+
+
+def assert_filter_keeps_the_outcome(ts, net_type, d):
+    # the stream alone, so that every level passes the leaf check
+    with per_atom_limit(0):
+        for shrink in (False, True):
+            with unfiltered():
+                want = outcome_fields(b.solve_drts(ts, net_type, d, shrink))
+            outcome = b.solve_drts(ts, net_type, d, shrink)
+            assert outcome_fields(outcome) == want, (net_type, d, shrink)
+    if not net_type & PARTIAL:
+        # only a partial interaction solves an essp atom
+        assert set(outcome.unsolved_atoms) >= {
+            a for a in b.enumerate_atoms(ts) if isinstance(a, EsspAtom)}
+
+
+def test_leaf_check_keeps_the_outcome_on_shuffled_lines():
+    rng = random.Random(14)
+    skipped = 0
+    for n in (8, rng.randint(9, 15), 16):
+        ts = shuffled_line(n, rng)
+        for net_type in FILTER_TYPES:
+            for d in (1, 2, 3):
+                assert_filter_keeps_the_outcome(ts, net_type, d)
+                with per_atom_limit(0):
+                    with unfiltered(), count_assignments() as spy:
+                        b.solve_drts(ts, net_type, d)
+                    every = spy.call_count
+                    with count_assignments() as spy:
+                        b.solve_drts(ts, net_type, d)
+                assert spy.call_count <= every
+                skipped += every - spy.call_count
+    # the check is not idle here
+    assert skipped > 0
+
+
+@given(small_ts(), st.sampled_from(FILTER_TYPES), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_random_leaf_check_keeps_the_outcome(ts, net_type, d):
+    assert_filter_keeps_the_outcome(ts, net_type, d)
+
+
+def test_leaf_check_effort_is_pinned():
+    # the shape of the benchmark's line decisions: a 40-state line, its
+    # events shuffled, at d=2 under nop,inp,out
+    ts = shuffled_line(40, random.Random(40))
+    net_type = frozenset({"nop", "inp", "out"})
+    with count_assignments() as spy:
+        filtered = b.solve_drts(ts, net_type, 2)
+    subsets = spy.call_count
+    with unfiltered(), count_assignments() as spy:
+        every = b.solve_drts(ts, net_type, 2)
+    assert filtered.solvable
+    assert filtered.solvers == every.solvers and len(every.solvers) == 176
+    # past its last ssp atom the stream needs only the subsets whose essp
+    # rows still hold a state outside their sources' classes
+    assert (subsets, spy.call_count) == (177, 773)
+    assert 3 * subsets < spy.call_count
+
+
+def test_shuffled_line_synth_within_budget():
+    ts = shuffled_line(200, random.Random(3))
+    with budget(1.0):
+        outcome = b.solve_drts(ts, frozenset({"nop", "inp", "out"}), 2)
+        net = outcome.net()
+    assert outcome.solvable
+    assert len(net.places) == len(outcome.solvers)
 
 
 # -- the greedy shrink against the set-based version it replaced -----------------
