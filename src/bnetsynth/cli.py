@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 # synthesize_net is not called here, but stays a name of this module:
 # perfbench/spans.py wraps cli.synthesize_net in its traced runs
-from .engine import (EnumerationStats, SynthesisOutcome, region_solves,
-                     solve_atom, solve_drts, synthesize_net, verify_lemma1)
+from .engine import (EnumerationStats, region_solves, solve_atom, solve_drts,
+                     synthesize_net, verify_lemma1)
 from .interactions import parse_type
 from .nets import DEFAULT_REACH_CAP, reachability_graph, read_net, write_net
 from .reductions import (CONSTRUCTIONS, hs_brute_force, read_hs,
@@ -45,12 +45,12 @@ def _render_witnesses(outcome) -> str:
                      for idx, (bit, signature) in enumerate(outcome.forms()))
 
 
-def _render_report(ts, outcome: SynthesisOutcome) -> str:
+def _render_report(ts, outcome) -> str:
     atoms = enumerate_atoms(ts)
     lines = [
         "verdict " + ("solvable" if outcome.solvable else "unsolvable"),
         f"atoms {len(atoms)}",
-        f"regions {len(outcome.admissible_set)}",
+        f"regions {len(outcome.solvers)}",
     ]
     for atom in atoms:
         idx = outcome.witness_map.get(atom)
@@ -58,9 +58,9 @@ def _render_report(ts, outcome: SynthesisOutcome) -> str:
             lines.append(f"atom {atom} unsolved")
         else:
             lines.append(f"atom {atom} region {idx}")
-    for idx, region in enumerate(outcome.admissible_set):
+    for idx, (bit, signature) in enumerate(outcome.forms()):
         lines.append(f"region {idx}")
-        lines.append(render_region_of(region, ts).rstrip("\n"))
+        lines.append(render_region(bit, signature).rstrip("\n"))
     lines.append(f"candidates_examined={outcome.stats.candidates_examined}")
     lines.append(f"valid_regions={outcome.stats.valid_regions}")
     return "\n".join(lines) + "\n"

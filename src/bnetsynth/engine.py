@@ -40,10 +40,10 @@ events solve no open essp atom whatever their interactions: essp:e,s needs
 e chosen as a partial interaction, and s outside every class holding a
 source of e, since the interaction is defined at that source's value and
 its class shares it. The outcome keeps each solver as the search yields
-it: a Region or an atom object is built only when a caller reads one.
-The counters come from the answer alone, never from the path that found
-it: candidates_examined is the answer's rank, and valid_regions the
-number of solving regions found.
+it, with the row hits it claimed, shrunk or not: a Region or an atom
+object is built only when a caller reads one. The counters come from the
+answer alone, never from the path that found it: candidates_examined is
+the answer's rank, and valid_regions the number of solving regions found.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from math import comb
 from operator import itemgetter, or_
@@ -578,50 +579,41 @@ def region_solves(region: Region, net_type: frozenset[str],
     return solves_essp(region, net_type, atom.event, atom.state)
 
 
-# A row of an _AtomIndex: (the row list, row number, bits of that row)
-_Hit = tuple[list[int], int, int]
+# A row hit of an _AtomIndex: (_SSP or _ESSP, row number, bits of that row)
+_Hit = tuple[int, int, int]
+_SSP, _ESSP = 0, 1
 
 
 class _AtomIndex:
-    """Separation atoms as bitmasks over state indices.
+    """The open separation atoms of a TS as bitmasks over state indices.
 
     ssp_row[i] holds the states j > i of the atoms ssp:i,j; essp_row[e]
-    holds the states s of the atoms essp:e,s. Without a list of atoms the
-    rows hold every atom of the TS, read off ts.delta: ssp row i the states
-    above i, essp row e the states where e is not enabled. A candidate
-    solves the row bits on the far side of its support cut (ssp), or on
-    the side where its partial interaction at e is undefined (essp).
-    ssp_live lists the ssp rows that still hold atoms, and open counts the
-    atoms of all rows.
+    holds the states s of the atoms essp:e,s. At first they hold every
+    atom, read off ts.delta: ssp row i the states above i, essp row e the
+    states where e is not enabled. A candidate solves the row bits on the
+    far side of its support cut (ssp), or on the side where its partial
+    interaction at e is undefined (essp). A hit names its row by kind, so
+    any index of the TS decodes it. ssp_live lists the ssp rows that still
+    hold atoms, and open counts the atoms of all rows.
     """
 
-    def __init__(self, ts: TransitionSystem,
-                 atoms: Optional[list[SeparationAtom]] = None):
+    def __init__(self, ts: TransitionSystem):
         self.states = ts.states
         self.events = ts.events
         sidx = {s: i for i, s in enumerate(ts.states)}
         eidx = {e: i for i, e in enumerate(ts.events)}
-        if atoms is None:
-            everyone = (1 << len(ts.states)) - 1
-            self.ssp_row = [everyone ^ ((2 << i) - 1)
-                            for i in range(len(ts.states))]
-            self.essp_row = [everyone] * len(ts.events)
-            for s, e in ts.delta:
-                self.essp_row[eidx[e]] &= ~(1 << sidx[s])
-        else:
-            self.ssp_row = [0] * len(ts.states)
-            self.essp_row = [0] * len(ts.events)
-            for a in atoms:
-                if isinstance(a, SspAtom):
-                    self.ssp_row[sidx[a.s1]] |= 1 << sidx[a.s2]
-                else:
-                    self.essp_row[eidx[a.event]] |= 1 << sidx[a.state]
+        everyone = (1 << len(ts.states)) - 1
+        self.ssp_row = [everyone ^ ((2 << i) - 1)
+                        for i in range(len(ts.states))]
+        self.essp_row = [everyone] * len(ts.events)
+        for s, e in ts.delta:
+            self.essp_row[eidx[e]] &= ~(1 << sidx[s])
         self.ssp_live = [i for i, row in enumerate(self.ssp_row) if row]
         self.open = sum(row.bit_count()
                         for row in self.ssp_row + self.essp_row)
 
     def hits(self, cand: Candidate) -> list[_Hit]:
-        """The indexed atoms the candidate solves, row by row in atom order."""
+        """The open atoms the candidate solves, row by row in atom order."""
         mask, chosen, sigs = cand
         inv = ~mask
         found: list[_Hit] = []
@@ -629,7 +621,7 @@ class _AtomIndex:
         for i in self.ssp_live:
             bits = ssp[i] & (inv if mask >> i & 1 else mask)
             if bits:
-                found.append((ssp, i, bits))
+                found.append((_SSP, i, bits))
         essp = self.essp_row
         for e, iname in zip(chosen, sigs):
             row = essp[e]
@@ -637,7 +629,19 @@ class _AtomIndex:
             if row and src is not None:
                 bits = row & (inv if src else mask)
                 if bits:
-                    found.append((essp, e, bits))
+                    found.append((_ESSP, e, bits))
+        return found
+
+    def take(self, cand: Candidate) -> list[_Hit]:
+        """The candidate's hits, cleared from the rows: the atoms it claims."""
+        found = self.hits(cand)
+        if found:
+            rows = self.ssp_row, self.essp_row
+            for kind, i, bits in found:
+                rows[kind][i] &= ~bits
+                self.open -= bits.bit_count()
+            ssp = self.ssp_row
+            self.ssp_live = [i for i in self.ssp_live if ssp[i]]
         return found
 
     def may_solve(self, search: _Search, chosen: list[int]) -> bool:
@@ -663,22 +667,14 @@ class _AtomIndex:
         return False
 
     def cover(self, cand: Candidate) -> int:
-        """The indexed atoms the candidate solves as one bitmask in atom
-        order: state j of ssp row i at bit i*|S|+j, of essp row e at bit
+        """The open atoms the candidate solves as one bitmask in atom order:
+        state j of ssp row i at bit i*|S|+j, of essp row e at bit
         (|S|+e)*|S|+j."""
         n = len(self.states)
         cover = 0
-        for rows, i, bits in self.hits(cand):
-            cover |= bits << n * (i if rows is self.ssp_row else n + i)
+        for kind, i, bits in self.hits(cand):
+            cover |= bits << n * (kind * n + i)
         return cover
-
-    def remove(self, hits: list[_Hit]) -> None:
-        """Clear the hit bits from their rows."""
-        for rows, i, bits in hits:
-            rows[i] &= ~bits
-            self.open -= bits.bit_count()
-        ssp = self.ssp_row
-        self.ssp_live = [i for i in self.ssp_live if ssp[i]]
 
     def _states(self, bits: int) -> Iterator[str]:
         states = self.states
@@ -689,8 +685,8 @@ class _AtomIndex:
 
     def atoms(self, hit: _Hit) -> Iterator[SeparationAtom]:
         """The atoms of one row's bits, in atom order."""
-        rows, i, bits = hit
-        if rows is self.ssp_row:
+        kind, i, bits = hit
+        if kind == _SSP:
             s1 = self.states[i]
             return (SspAtom(s1, s) for s in self._states(bits))
         e = self.events[i]
@@ -698,9 +694,9 @@ class _AtomIndex:
 
     def open_atoms(self) -> Iterator[SeparationAtom]:
         """The atoms the rows hold, in atom order, that of enumerate_atoms."""
-        for rows in (self.ssp_row, self.essp_row):
+        for kind, rows in enumerate((self.ssp_row, self.essp_row)):
             for i, bits in enumerate(rows):
-                yield from self.atoms((rows, i, bits))
+                yield from self.atoms((kind, i, bits))
 
     def open_text(self) -> Iterator[str]:
         """str() of each atom open_atoms yields, without building it."""
@@ -747,7 +743,8 @@ def solve_drts(
     Either way the solvers, witnesses and counters are the same. The
     search stops once every atom is solved. An unsolvable verdict reflects
     a fully drained stream, or a search exhausted for each atom left open
-    at the switch.
+    at the switch. A shrink keeps the solvers _greedy_shrink picks, which
+    claim the atoms anew; the counters stay those from before it.
     """
     t0 = time.monotonic()
     search = _Search(ts, net_type, d)
@@ -772,12 +769,11 @@ def solve_drts(
             else:
                 source = search._subset_dfs(c, index)
             for cand in source:
-                hits = index.hits(cand)
+                hits = index.take(cand)
                 if not hits:
                     continue
                 solvers.append(cand)
                 solved.append(hits)
-                index.remove(hits)
                 if not index.open:
                     break
             if per_atom:
@@ -785,33 +781,34 @@ def solve_drts(
         stats.candidates_examined = search.rank(
             None if index.open else solvers[-1])
         stats.valid_regions = len(solvers)
-    witness = None
-    if shrink and solvers and not index.open:
-        every = _AtomIndex(ts)
-        picked, witness = _greedy_shrink(every, list(every.open_atoms()),
-                                         solvers)
+    shrunk = shrink and bool(solvers) and not index.open
+    if shrunk:
+        # the kept solvers claim the atoms afresh, in ascending order, so
+        # each atom's witness is the first kept solver that solves it
+        index = _AtomIndex(ts)
+        picked = _greedy_shrink([index.cover(cand) for cand in solvers])
         solvers = [solvers[r] for r in picked]
+        solved = [index.take(cand) for cand in solvers]
     stats.elapsed = time.monotonic() - t0
     return _CompactOutcome(ts, net_type, search, index, solvers, solved,
-                           stats, witness)
+                           stats, shrunk)
 
 
 class _CompactOutcome(SynthesisOutcome):
     """solve_drts's outcome in the search's bit form.
 
-    It keeps the solvers as candidates, the rows' bits each one solved
-    first, and the index, whose rows hold the atoms left open. The three
-    lists of a SynthesisOutcome are built from these on first access, with
-    the values, the order and the types solve_drts has always returned.
-    forms(), net() and index.open_text() give the CLI's outputs from these
-    directly.
+    It keeps the solvers as candidates, solved[r] the row hits solver r
+    claimed, and the index they were claimed from, whose rows hold the
+    atoms left open. The three lists of a SynthesisOutcome are built from
+    these on first access, with the values, the order and the types
+    solve_drts has always returned. forms(), net() and index.open_text()
+    give the CLI's outputs from these directly.
     """
 
     def __init__(self, ts: TransitionSystem, net_type: frozenset[str],
                  search: _Search, index: _AtomIndex,
                  solvers: list[Candidate], solved: list[list[_Hit]],
-                 stats: EnumerationStats,
-                 witness: Optional[dict[SeparationAtom, int]] = None):
+                 stats: EnumerationStats, shrunk: bool):
         self.solvable = not index.open
         self.stats = stats
         self.ts = ts
@@ -820,9 +817,7 @@ class _CompactOutcome(SynthesisOutcome):
         self.index = index
         self.solvers = solvers
         self.solved = solved
-        if witness is not None:
-            # after a shrink: solved still lists the unshrunk solvers' hits
-            self.witness_map = witness
+        self.shrunk = shrunk
 
     @cached_property
     def admissible_set(self) -> list[Region]:
@@ -831,8 +826,13 @@ class _CompactOutcome(SynthesisOutcome):
     @cached_property
     def witness_map(self) -> dict[SeparationAtom, int]:
         atoms = self.index.atoms
-        return {a: r for r, hits in enumerate(self.solved)
-                for hit in hits for a in atoms(hit)}
+        witness = {a: r for r, hits in enumerate(self.solved)
+                   for hit in hits for a in atoms(hit)}
+        if self.shrunk:
+            # every atom is solved: list them in atom order
+            witness = {a: witness[a]
+                       for a in _AtomIndex(self.ts).open_atoms()}
+        return witness
 
     @cached_property
     def unsolved_atoms(self) -> list[SeparationAtom]:
@@ -855,32 +855,29 @@ class _CompactOutcome(SynthesisOutcome):
                      for cand, (bit, sig) in zip(self.solvers, self.forms())))
 
 
-def _greedy_shrink(index: _AtomIndex, atoms: list[SeparationAtom],
-                   solvers: list[Candidate]
-                   ) -> tuple[list[int], dict[SeparationAtom, int]]:
-    """Re-cover all atoms with a greedily smaller subset of the solvers:
-    the indices picked, ascending, and each atom's witness among them.
+def _greedy_shrink(covers: list[int]) -> list[int]:
+    """The indices, ascending, of a greedily smaller set of solvers that
+    covers every atom of their covers (_AtomIndex.cover): each round picks
+    the most atoms still uncovered, the lowest index among equals.
 
-    Optional cosmetics: coverage stays complete, but the canonical-first
-    witness choice is given up for the selected subset. index holds every
-    atom.
+    A lazy heap keyed by (-gain, index): gains only fall, so a stored key
+    bounds the true one, and only the top is recomputed. Optional
+    cosmetics: the canonical-first witness choice is given up.
     """
-    covers = [index.cover(cand) for cand in solvers]
     uncovered = reduce(or_, covers, 0)
+    heap = [(-cover.bit_count(), r) for r, cover in enumerate(covers)]
+    heapify(heap)
     picked: list[int] = []
     while uncovered:
-        best = max(range(len(covers)),
-                   key=lambda r: ((covers[r] & uncovered).bit_count(), -r))
-        picked.append(best)
-        uncovered &= ~covers[best]
+        _, r = heappop(heap)
+        key = -(covers[r] & uncovered).bit_count(), r
+        if heap and key > heap[0]:
+            heappush(heap, key)
+            continue
+        picked.append(r)
+        uncovered &= ~covers[r]
     picked.sort()
-    # each atom's witness: the first picked solver that solves it
-    first: dict[SeparationAtom, int] = {}
-    for new, old in enumerate(picked):
-        for hit in index.hits(solvers[old]):
-            for a in index.atoms(hit):
-                first.setdefault(a, new)
-    return picked, {a: first[a] for a in atoms}
+    return picked
 
 
 def _broken(i: str, src: int, dst: int) -> int:

@@ -461,6 +461,42 @@ def test_synth_writes_from_the_bit_form(files, capsys, monkeypatch, case,
         for idx, region in enumerate(outcome.admissible_set))
 
 
+@pytest.mark.parametrize("shrink", [False, True])
+@pytest.mark.parametrize("case", list(SYNTH_CASES))
+def test_synth_report_builds_no_region(files, capsys, monkeypatch, case,
+                                       shrink):
+    # --report reads the solvers' forms, as --witnesses does; it equals the
+    # report rendered from the library outcome's atoms and Regions
+    _, tmp = files
+    ts, net_type, d = SYNTH_CASES[case]()
+    path, report = str(tmp / "in.ts"), tmp / "out.report"
+    b.write_ts(path, ts)
+    regions = []
+    build_region = engine._Search.region
+    monkeypatch.setattr(engine._Search, "region", lambda self, cand: (
+        regions.append(cand), build_region(self, cand))[1])
+    code = run("synth", "--ts", path, "--type", b.format_type(net_type),
+               "--d", str(d), "--report", str(report),
+               *(["--shrink"] if shrink else []))
+    monkeypatch.undo()
+    assert regions == []
+
+    outcome = b.solve_drts(ts, net_type, d, shrink=shrink)
+    assert code == (0 if outcome.solvable else 1)
+    atoms = b.enumerate_atoms(ts)
+    lines = ["verdict " + ("solvable" if outcome.solvable else "unsolvable"),
+             f"atoms {len(atoms)}", f"regions {len(outcome.admissible_set)}"]
+    for atom in atoms:
+        idx = outcome.witness_map.get(atom)
+        lines.append(f"atom {atom} " +
+                     ("unsolved" if idx is None else f"region {idx}"))
+    for idx, region in enumerate(outcome.admissible_set):
+        lines += [f"region {idx}", render_region_of(region, ts).rstrip("\n")]
+    lines += [f"candidates_examined={outcome.stats.candidates_examined}",
+              f"valid_regions={outcome.stats.valid_regions}"]
+    assert report.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
 def test_main_builds_its_parser_once(files, capsys, monkeypatch):
     # a synth, a usage error and an atom in one process give what a freshly
     # built parser gives, call by call

@@ -608,7 +608,47 @@ def test_shuffled_line_synth_within_budget():
     assert len(net.places) == len(outcome.solvers)
 
 
+def canonical_line(n):
+    """A line of n states, its events in canonical order."""
+    states = [f"s{i:03}" for i in range(n)]
+    events = [f"e{i:03}" for i in range(n - 1)]
+    return b.build_ts(states, events, [(states[i], e, states[i + 1])
+                                       for i, e in enumerate(events)],
+                      states[0])
+
+
+def test_line_shrink_within_budget():
+    # every ssp atom of a canonical line has its own first solver; the
+    # shrink re-covers the 150 * 149 / 2 of them and the essp atoms
+    ts = canonical_line(150)
+    with budget(4.0):
+        outcome = b.solve_drts(ts, frozenset({"nop", "inp", "out"}), 2,
+                               shrink=True)
+    assert outcome.solvable
+    assert (outcome.stats.valid_regions, len(outcome.solvers)) == (11175, 224)
+
+
 # -- the greedy shrink against the set-based version it replaced -----------------
+
+class AtomListIndex(engine._AtomIndex):
+    """engine._AtomIndex with its rows built from a list of atoms instead of
+    read off ts.delta: the reference for those rows."""
+
+    def __init__(self, ts, atoms):
+        super().__init__(ts)
+        sidx = {s: i for i, s in enumerate(ts.states)}
+        eidx = {e: i for i, e in enumerate(ts.events)}
+        self.ssp_row = [0] * len(ts.states)
+        self.essp_row = [0] * len(ts.events)
+        for a in atoms:
+            if isinstance(a, SspAtom):
+                self.ssp_row[sidx[a.s1]] |= 1 << sidx[a.s2]
+            else:
+                self.essp_row[eidx[a.event]] |= 1 << sidx[a.state]
+        self.ssp_live = [i for i, row in enumerate(self.ssp_row) if row]
+        self.open = sum(row.bit_count()
+                        for row in self.ssp_row + self.essp_row)
+
 
 def set_based_shrink(index, atoms, solvers):
     """engine._greedy_shrink as it was, with a set of atoms per solver, kept
@@ -628,23 +668,37 @@ def set_based_shrink(index, atoms, solvers):
 
 
 def assert_shrink_matches_set_based(ts, atoms, solvers):
-    picked, witness = engine._greedy_shrink(engine._AtomIndex(ts, atoms),
-                                            atoms, solvers)
+    """The picks and the claimed witness equal set_based_shrink's, which
+    it returns."""
+    index = AtomListIndex(ts, atoms)
+    picked = engine._greedy_shrink([index.cover(cand) for cand in solvers])
     want_picked, want_witness = set_based_shrink(
-        engine._AtomIndex(ts, atoms), atoms, solvers)
+        AtomListIndex(ts, atoms), atoms, solvers)
     assert picked == want_picked
-    assert list(witness.items()) == list(want_witness.items())
+    # solve_drts's claim step: the picked solvers, ascending, take the atoms
+    # they solve from the rows
+    claimed = {a: new for new, old in enumerate(picked)
+               for hit in index.take(solvers[old]) for a in index.atoms(hit)}
+    assert not index.open
+    assert [(a, claimed[a]) for a in atoms] == list(want_witness.items())
+    return want_picked, want_witness
 
 
 def test_shrink_matches_set_based_on_c06_yes(demo_hs):
     art = b.reduce_t11(b.build_hs_instance(demo_hs.universe, demo_hs.sets, 3))
+    solvers = b.solve_drts(art.ts, art.default_type, art.d).solvers
     with mock.patch.object(engine, "_greedy_shrink",
                            wraps=engine._greedy_shrink) as spy:
         outcome = b.solve_drts(art.ts, art.default_type, art.d, shrink=True)
     assert outcome.solvable and spy.call_count == 1
-    _, atoms, solvers = spy.call_args.args
+    atoms = b.enumerate_atoms(art.ts)
+    (covers,) = spy.call_args.args
     assert (len(atoms), len(solvers)) == (1121, 89)
-    assert_shrink_matches_set_based(art.ts, atoms, solvers)
+    assert covers == [AtomListIndex(art.ts, atoms).cover(cand)
+                      for cand in solvers]
+    picked, witness = assert_shrink_matches_set_based(art.ts, atoms, solvers)
+    assert outcome.solvers == [solvers[r] for r in picked]
+    assert list(outcome.witness_map.items()) == list(witness.items())
 
 
 @given(small_ts(max_states=5, max_events=3),
@@ -658,7 +712,7 @@ def test_random_shrink_matches_set_based(ts, net_type, d, backwards):
     if backwards:
         solvers.reverse()
     atoms = b.enumerate_atoms(ts)
-    index = engine._AtomIndex(ts, atoms)
+    index = AtomListIndex(ts, atoms)
     solved = {a for cand in solvers for hit in index.hits(cand)
               for a in index.atoms(hit)}
     atoms = [a for a in atoms if a in solved]
@@ -669,7 +723,7 @@ def test_random_shrink_matches_set_based(ts, net_type, d, backwards):
 
 def assert_rows_match_the_atom_list(ts):
     atoms = b.enumerate_atoms(ts)
-    built, listed = engine._AtomIndex(ts), engine._AtomIndex(ts, atoms)
+    built, listed = engine._AtomIndex(ts), AtomListIndex(ts, atoms)
     assert (built.ssp_row, built.essp_row, built.ssp_live, built.open) == \
         (listed.ssp_row, listed.essp_row, listed.ssp_live, len(atoms))
     assert list(built.open_atoms()) == atoms
