@@ -27,14 +27,19 @@ a value from a source, fired from each newly valued class through the
 swap positions assigned so far. Every state is reachable, so a complete
 assignment values every class, and a hypothesis dies as soon as a known
 value breaks a rule. Pruning only skips candidates that cannot solve the
-atom. In the subset search the atom acts through one contraction check:
-the essp atom's event is never contracted, and a contraction is dropped
-with the rest of its range once a class holds states that no solving
-region can give one value.
+atom. An essp search takes a row: an event e and the open states s of
+essp:e,s (one for solve_atom). e is never contracted, and a contraction is
+dropped with the rest of its range once a class holds states that no
+solving region can give one value, or every open state shares a class
+with a source of e (or a target, if every partial keeps its value). A
+hypothesis dies once every open state's class is valued where e's
+interaction is defined. Both cuts hold for each open state alone, and
+below where they are made: classes only merge there, and the row only
+shrinks.
 
 solve_drts checks the canonical stream against every open atom at once
-while many are open, and searches for each of the last few on its own,
-from the level it has reached. The atoms are bitmask rows built from the
+while many searches would be needed, then runs one search per open ssp
+atom and one per open essp row. The atoms are bitmask rows built from the
 TS. Once no ssp atom is open, the stream skips a subset whose chosen
 events solve no open essp atom whatever their interactions: essp:e,s needs
 e chosen as a partial interaction, and s outside every class holding a
@@ -143,6 +148,7 @@ class _Search:
         net_type: frozenset[str],
         d: int,
         atom: Optional[SeparationAtom] = None,
+        row: Optional[tuple[int, int]] = None,
     ):
         if d < 0:
             raise ValueError("restriction bound must be >= 0")
@@ -172,21 +178,26 @@ class _Search:
         self.uf_mask = [1 << s for s in range(self.n_states)]
         self.uf_trail: list[tuple[int, int]] = []
 
-        # The atom acts on the subset search through _contract_range alone:
-        # the essp atom's event is never contracted, and a contraction is
-        # ruled out when some class holds one of a pair's states and meets
-        # its mask, as no region of it can solve the atom.
+        # The atom, or an essp row (event index, state bits), acts on the
+        # subset search through _contract_range alone: the row's event is
+        # never contracted, and a contraction is ruled out when some class
+        # holds one of a pair's states and meets its mask, or every state
+        # of the row lies in a class that meets fatal.
         self.atom = atom
         self.forced_event: Optional[int] = None
         self.prune_pairs: list[tuple[list[int], int]] = []
+        # the row's open states; the caller sheds those it has found
+        self.row = self.fatal = 0
         if isinstance(atom, SspAtom):
             self.atom_s1 = self.state_idx[atom.s1]
             self.atom_s2 = self.state_idx[atom.s2]
             # a class holding both states gives them one value
             self.prune_pairs.append(([self.atom_s1], 1 << self.atom_s2))
         elif isinstance(atom, EsspAtom):
-            self.forced_event = self.event_idx[atom.event]
             self.atom_s = self.state_idx[atom.state]
+            row = self.event_idx[atom.event], 1 << self.atom_s
+        if row is not None:
+            self.forced_event, self.row = row
             e_edges = self.edges_by_event[self.forced_event]
             self.essp_cands = cand = self.partials
             # the partials that give the value they need (used/free), the
@@ -196,17 +207,17 @@ class _Search:
                                     if _RULE[i][0] == _RULE[i][1])
             sources = sorted({u for u, _ in e_edges})
             targets = sum(1 << v for v in {v for _, v in e_edges})
-            # A merge of the atom state with a source of its event fixes
+            # A merge of a row state with a source of the event fixes
             # sup(state) at the value where sig(event) is defined, for any
             # partial candidate; if every candidate keeps that value, the
             # target has it too and target merges are just as fatal.
             fatal = sum(1 << u for u in sources)
             if not cand:
-                # without a partial in the type nothing solves the atom
+                # without a partial in the type nothing solves the row
                 fatal = self.all_states
             elif self.essp_keeps == cand:
                 fatal |= targets
-            self.prune_pairs.append(([self.atom_s], fatal))
+            self.fatal = fatal
             if cand and not self.essp_keeps:
                 # inp/out need one value at every source of the event and
                 # give the other at every target, so a class holding a
@@ -223,8 +234,8 @@ class _Search:
 
     def _contract_range(self, lo: int, hi: int) -> bool:
         """Merge the classes at both ends of each edge of the events lo..hi-1;
-        False, perhaps with part of it done, when the range holds the essp
-        atom's event or the contraction cannot solve the atom."""
+        False, perhaps with part of it done, when the range holds the row's
+        event or the contraction cannot solve the atom or the row."""
         forced = self.forced_event
         if forced is not None and lo <= forced < hi:
             return False
@@ -243,6 +254,17 @@ class _Search:
                 parent[v] = u
                 cls[u] |= cls[v]
                 trail.append((v, u))
+        row = self.row
+        while row:
+            u = (row & -row).bit_length() - 1
+            while parent[u] != u:
+                u = parent[u]
+            if not cls[u] & self.fatal:
+                break
+            row &= ~cls[u]
+        if self.row and not row:
+            # every open state of the row shares a class with fatal
+            return False
         for states, mask in self.prune_pairs:
             for u in states:
                 while parent[u] != u:
@@ -397,12 +419,16 @@ class _Search:
         if any(not c for c in cands):
             return
 
-        atom_mode = self.atom is not None
-        atom_pair = atom_bit = 0
+        # the classes of the atom's states, or of the row's open states
+        atom_pair = row_cls = 0
         if isinstance(self.atom, SspAtom):
             atom_pair = 1 << find(self.atom_s1) | 1 << find(self.atom_s2)
-        elif isinstance(self.atom, EsspAtom):
-            atom_bit = 1 << find(self.atom_s)
+        row = self.row
+        while row:
+            u = find((row & -row).bit_length() - 1)
+            row_cls |= 1 << u
+            row &= ~self.uf_mask[u]
+        atom_mode = bool(atom_pair or row_cls)
 
         # the chosen interactions; prefix[p] holds, over positions 0..p, the
         # sources that need 1, those that need 0, the sources of the swap
@@ -454,14 +480,15 @@ class _Search:
             return R, O
 
         def killed(R: int, O: int, p: int) -> bool:
-            # solve_atom mode only: drop hypotheses that provably cannot
+            # atom or row mode only: drop hypotheses that provably cannot
             # yield a solving region (their validity is then irrelevant)
             if atom_pair:
                 return (R & atom_pair == atom_pair
                         and O & atom_pair in (0, atom_pair))
-            # cands[e_pos] holds partials only: defined just at their need
-            return bool(R & atom_bit and e_pos <= p and
-                        rule[sig[e_pos]][0] == (1 if O & atom_bit else 0))
+            # cands[e_pos] holds partials only, defined just at their need:
+            # dead once every row class is valued at it
+            return (e_pos <= p and R & row_cls == row_cls and
+                    O & row_cls == (row_cls if rule[sig[e_pos]][0] else 0))
 
         cls = self.uf_mask
         chosen_t = tuple(chosen)
@@ -513,6 +540,7 @@ class _Search:
                 for st in hyps:
                     if st is not None:
                         # all classes valued: killed() proved it solves
+                        # the atom, or a state the row held on entry
                         yield candidate(st[1])
             elif hyps != [None, None]:
                 p += 1
@@ -570,6 +598,25 @@ def _first_solver(ts: TransitionSystem, net_type: frozenset[str], d: int,
     subsets of at least start events, or None."""
     search = _Search(ts, net_type, d, atom=atom)
     return search, next(search.stream(start), None)
+
+
+def _row_finds(ts: TransitionSystem, net_type: frozenset[str], d: int,
+               event: int, row: int, start: int) -> list[Candidate]:
+    """The first solvers in canonical order, among the subsets of at least
+    start events, of the essp atoms of one event at the states of row."""
+    search = _Search(ts, net_type, d, row=(event, row))
+    finds: list[Candidate] = []
+    for cand in search.stream(start):
+        mask, chosen, sigs = cand
+        # the row states where the event's partial interaction is undefined
+        bits = search.row & (
+            ~mask if _RULE[sigs[chosen.index(event)]][0] else mask)
+        if bits:
+            finds.append(cand)
+            search.row ^= bits
+            if not search.row:
+                break
+    return finds
 
 
 def region_solves(region: Region, net_type: frozenset[str],
@@ -708,12 +755,13 @@ class _AtomIndex:
                     yield prefix + s
 
 
-# solve_drts stops its stream before the first level at which at most this
-# many atoms are open, and finds each one's first solver on its own. The
-# atom searches win where the last levels are large, as on the compiled
-# hitting-set instances; on small systems, where a level is cheap to
-# stream, a higher limit costs more searches than it saves.
-_PER_ATOM_LIMIT = 32
+# solve_drts stops its stream before the first level at which the open
+# atoms need at most this many searches, one per ssp atom and one per essp
+# row, and finds their first solvers that way. The searches win where the
+# last levels are large, as on the compiled hitting-set instances; on small
+# systems, where a level is cheap to stream, a higher limit costs more
+# searches than it saves.
+_SEARCH_LIMIT = 16
 
 
 def solve_drts(
@@ -731,10 +779,11 @@ def solve_drts(
     its Region, and the atom objects of the witness map and the unsolved
     list, are built only when the outcome's fields are read. The
     candidates come from the canonical stream, one restriction level at a
-    time, while more than _PER_ATOM_LIMIT atoms are open. Before the first
-    level where at most that many are, the stream stops: each open atom's
-    first solver from that level on is found by its own pruned search, as
-    in solve_atom, and those finds are checked in canonical order instead.
+    time, while the open atoms need more than _SEARCH_LIMIT searches: one
+    per ssp atom, as in solve_atom, and one per open essp row (_row_finds),
+    which drops each state from its row once it has the state's first
+    solver. From the first level where they need at most that many, the
+    searches' finds are checked in canonical order instead.
     Once no ssp atom is open, the stream passes a subset to its
     assignment search only if some chosen event's essp row holds a state
     outside every class with a source of that event (_AtomIndex.may_solve):
@@ -742,7 +791,7 @@ def solve_drts(
     solve essp at a state that shares it. A skipped subset holds no solver.
     Either way the solvers, witnesses and counters are the same. The
     search stops once every atom is solved. An unsolvable verdict reflects
-    a fully drained stream, or a search exhausted for each atom left open
+    a fully drained stream, or searches exhausted for the atoms left open
     at the switch. A shrink keeps the solvers _greedy_shrink picks, which
     claim the atoms anew; the counters stay those from before it.
     """
@@ -757,13 +806,19 @@ def solve_drts(
         for c in search.levels:
             if not index.open:
                 break
-            per_atom = index.open <= _PER_ATOM_LIMIT
+            ssp = index.ssp_row
+            rows = [(e, row) for e, row in enumerate(index.essp_row) if row]
+            late = len(rows) + sum(ssp[i].bit_count()
+                                   for i in index.ssp_live) <= _SEARCH_LIMIT
             source: Iterable[Candidate]
-            if per_atom:
-                # a find shared by several atoms solves none of them the
+            if late:
+                # a find shared by several searches solves nothing the
                 # second time, so the loop below takes it once
                 finds = [_first_solver(ts, net_type, d, a, c)[1]
-                         for a in index.open_atoms()]
+                         for i in index.ssp_live
+                         for a in index.atoms((_SSP, i, ssp[i]))]
+                for e, row in rows:
+                    finds += _row_finds(ts, net_type, d, e, row, c)
                 source = sorted((f for f in finds if f is not None),
                                 key=search.rank)
             else:
@@ -776,7 +831,7 @@ def solve_drts(
                 solved.append(hits)
                 if not index.open:
                     break
-            if per_atom:
+            if late:
                 break
         stats.candidates_examined = search.rank(
             None if index.open else solvers[-1])

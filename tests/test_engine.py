@@ -440,14 +440,29 @@ def atom_major_drts(ts, net_type, d, shrink):
     return admissible, witness, list(unsolved), stats, found
 
 
-# solve_drts's per-atom limit: the stream alone, a switch partway on the
-# small systems below, the default (per atom from level 0 on most of them),
-# and per atom from level 0 everywhere
-PER_ATOM_LIMITS = (0, 4, engine._PER_ATOM_LIMIT, 10 ** 9)
+# solve_drts's search limit: the stream alone, a switch partway on the
+# small systems below, the default (searches from level 0 on most of them),
+# and searches from level 0 everywhere
+SEARCH_LIMITS = (0, 4, engine._SEARCH_LIMIT, 10 ** 9)
 
 
-def per_atom_limit(limit):
-    return mock.patch.object(engine, "_PER_ATOM_LIMIT", limit)
+def search_limit(limit):
+    return mock.patch.object(engine, "_SEARCH_LIMIT", limit)
+
+
+def switch_of(ts, net_type, d):
+    """solve_drts's outcome, with the searches it ran at its switch: their
+    number, the atoms they were for and the set of their start levels."""
+    with mock.patch.object(engine, "_first_solver",
+                           wraps=engine._first_solver) as atoms, \
+            mock.patch.object(engine, "_row_finds",
+                              wraps=engine._row_finds) as rows:
+        outcome = b.solve_drts(ts, net_type, d)
+    searches = ([(1, call.args[4]) for call in atoms.call_args_list] +
+                [(call.args[4].bit_count(), call.args[5])
+                 for call in rows.call_args_list])
+    return outcome, (len(searches), sum(n for n, _ in searches),
+                     {start for _, start in searches})
 
 
 def outcome_fields(outcome):
@@ -466,8 +481,8 @@ def assert_matches_atom_major(ts, net_type, d, shrink):
     want = outcome_fields(b.SynthesisOutcome(
         not unsolved, admissible, witness, unsolved,
         b.EnumerationStats(stats.candidates_examined, found)))
-    for limit in PER_ATOM_LIMITS:
-        with per_atom_limit(limit):
+    for limit in SEARCH_LIMITS:
+        with search_limit(limit):
             outcome = b.solve_drts(ts, net_type, d, shrink=shrink)
         assert outcome_fields(outcome) == want, limit
 
@@ -493,14 +508,46 @@ def test_drts_switch_partway_matches_the_stream():
     universe = [f"X{i}" for i in range(1, 7)]
     pairs = [["X1", "X2"], ["X3", "X4"], ["X5", "X6"]]
     art = b.reduce_t11(b.build_hs_instance(universe, pairs, 2))
-    with mock.patch.object(engine, "_first_solver",
-                           wraps=engine._first_solver) as spy:
-        hybrid = b.solve_drts(art.ts, art.default_type, art.d)
-    assert {call.args[4] for call in spy.call_args_list} == {3}
-    with per_atom_limit(0):
+    hybrid, (searches, atoms, levels) = switch_of(art.ts, art.default_type,
+                                                  art.d)
+    assert levels == {3}
+    # one search per essp row: 2 for the 11 open atoms
+    assert (searches, atoms) == (2, 11)
+    with search_limit(0):
         streamed = b.solve_drts(art.ts, art.default_type, art.d)
     assert not hybrid.solvable and art.alpha in hybrid.unsolved_atoms
     assert outcome_fields(hybrid) == outcome_fields(streamed)
+
+
+def test_searches_at_the_switch_are_pinned(demo_hs):
+    # (searches, atoms they are for, level): an exact count of the effort
+    # at the switch, where a time would be noisy
+    c06_yes = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 3)
+    for construction, inst, want in (("1.1", c06_yes, (5, 19, {3})),
+                                     ("1.2", demo_hs, (9, 70, {3})),
+                                     ("1.3", demo_hs, (10, 22, {4}))):
+        art = b.reduce_instance(construction, inst)
+        _, got = switch_of(art.ts, art.default_type, art.d)
+        assert got == want, construction
+
+
+# synth on triangle 1.4 and demo 1.4 at kappa 2, at their default type and
+# d, within a budget: the verdict, candidates_examined, valid_regions, the
+# atoms left unsolved and the searches at the switch as switch_of gives them
+@pytest.mark.parametrize("name, seconds, want", [
+    ("triangle", 4.0, (False, 9_377_127_908, 400, 26, (7, 79, {3}))),
+    ("demo", 20.0, (False, 113_123_358_818, 636, 49, (12, 146, {3}))),
+], ids=["triangle", "demo"])
+def test_t14_synth_within_budget(name, seconds, want, demo_hs):
+    inst = demo_hs if name == "demo" else b.build_hs_instance(
+        ["X1", "X2", "X3"], [["X1", "X2"], ["X2", "X3"], ["X1", "X3"]], 2)
+    art = b.reduce_instance("1.4", inst)
+    with budget(seconds):
+        outcome, switch = switch_of(art.ts, art.default_type, art.d)
+    unsolved = outcome.unsolved_atoms
+    assert (outcome.solvable, outcome.stats.candidates_examined,
+            outcome.stats.valid_regions, len(unsolved), switch) == want
+    assert art.alpha not in unsolved
 
 
 def test_criterion_06_no_within_budget():
@@ -543,7 +590,7 @@ def count_assignments():
 
 def assert_filter_keeps_the_outcome(ts, net_type, d):
     # the stream alone, so that every level passes the leaf check
-    with per_atom_limit(0):
+    with search_limit(0):
         for shrink in (False, True):
             with unfiltered():
                 want = outcome_fields(b.solve_drts(ts, net_type, d, shrink))
@@ -563,7 +610,7 @@ def test_leaf_check_keeps_the_outcome_on_shuffled_lines():
         for net_type in FILTER_TYPES:
             for d in (1, 2, 3):
                 assert_filter_keeps_the_outcome(ts, net_type, d)
-                with per_atom_limit(0):
+                with search_limit(0):
                     with unfiltered(), count_assignments() as spy:
                         b.solve_drts(ts, net_type, d)
                     every = spy.call_count
@@ -1003,7 +1050,7 @@ def assert_atoms_match_first_solver(ts, net_type, d):
             (rank, int(want is not None)), case
 
 
-def test_overlap_pruning_matches_the_first_solver():
+def overlap_systems():
     # with k nop, the class {s2, s3} holds a target (s2) and a source (s3)
     # of a, joined by no edge of a: inp and out at a are then impossible,
     # while used or free at a still solves essp:a,s5 through b
@@ -1018,7 +1065,11 @@ def test_overlap_pruning_matches_the_first_solver():
         [("s0", "k", "s1"), ("s1", "a", "s2"), ("s2", "m", "s3"),
          ("s3", "k", "s4"), ("s4", "a", "s0"), ("s0", "b", "s5"),
          ("s5", "a", "s5")], "s0")
-    for ts in (meet, detour):
+    return meet, detour
+
+
+def test_overlap_pruning_matches_the_first_solver():
+    for ts in overlap_systems():
         for net_type in OVERLAP_TYPES:
             for d in range(len(ts.events) + 1):
                 assert_atoms_match_first_solver(ts, net_type, d)
@@ -1030,6 +1081,82 @@ def test_overlap_pruning_matches_the_first_solver():
 def test_random_overlap_pruning_matches_the_first_solver(ts, rest, changer,
                                                           d):
     assert_atoms_match_first_solver(ts, rest | {changer}, d)
+
+
+# -- one search per essp row against each state's first solver ---------------
+
+def assert_rows_match_first_solver(ts, net_type, d):
+    """engine._row_finds on each essp row of the TS, whole and without its
+    first state, from every start level, against the first valid solving
+    entry of the brute-force candidate list with at least start non-nop
+    events, state by state: each find is some state's first solver."""
+    tree = b.spanning_tree(ts)
+    valid = []
+    for k, (supinit, sig) in enumerate(
+            brute_force_candidates(ts, net_type, d), 1):
+        region = b.expand_region(ts, net_type, supinit,
+                                 dict(zip(ts.events, sig)), tree)
+        if region is not None:
+            valid.append((k, len(sig) - sig.count("nop"), region))
+    search = _Search(ts, net_type, d)
+    index = engine._AtomIndex(ts)
+    for e, full in enumerate(index.essp_row):
+        for row in {full, full & full - 1} - {0}:
+            atoms = list(index.atoms((engine._ESSP, e, row)))
+            for start in range(d + 2):
+                got = {}
+                for cand in engine._row_finds(ts, net_type, d, e, row, start):
+                    region = search.region(cand)
+                    new = [a for a in atoms if a not in got and
+                           b.region_solves(region, net_type, a)]
+                    case = (sorted(net_type), d, start, str(new))
+                    assert new, case
+                    got.update(dict.fromkeys(new, (search.rank(cand), region)))
+                for atom in atoms:
+                    want = next(((k, r) for k, c, r in valid if c >= start and
+                                 b.region_solves(r, net_type, atom)), None)
+                    assert got.get(atom) == want, (sorted(net_type), d, start,
+                                                   str(atom))
+
+
+def test_row_finds_match_the_first_solver():
+    for ts in overlap_systems():
+        for net_type in OVERLAP_TYPES:
+            for d in range(len(ts.events) + 1):
+                assert_rows_match_first_solver(ts, net_type, d)
+
+
+@given(small_ts(), st.frozensets(st.sampled_from(INTERACTION_ORDER),
+                                 min_size=1), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_random_row_finds_match_the_first_solver(ts, net_type, d):
+    assert_rows_match_first_solver(ts, net_type, d)
+
+
+def test_demo_row_finds_match_the_atom_searches(demo_hs):
+    # each row solve_drts searches at its switch, against one search per
+    # atom from the same level
+    for construction in ("1.1", "1.2", "1.3"):
+        art = b.reduce_instance(construction, demo_hs)
+        with mock.patch.object(engine, "_row_finds",
+                               wraps=engine._row_finds) as spy:
+            b.solve_drts(art.ts, art.default_type, art.d)
+        assert spy.call_args_list, construction
+        index = engine._AtomIndex(art.ts)
+        for call in spy.call_args_list:
+            ts, net_type, d, e, row, start = call.args
+            finds = engine._row_finds(*call.args)
+            first = {}
+            for cand in finds:
+                for kind, i, bits in index.hits(cand):
+                    if (kind, i) == (engine._ESSP, e):
+                        first.update((a, cand) for a in index.atoms(
+                            (kind, i, bits & row)) if a not in first)
+            for atom in index.atoms((engine._ESSP, e, row)):
+                _, want = engine._first_solver(ts, net_type, d, atom, start)
+                assert first.get(atom) == want, (construction, str(atom))
+            # and no find that is not some atom's first solver
+            assert len(set(first.values())) == len(finds), construction
 
 
 # -- the bitmask assignment kernel against the dict/watch-list search -----------
