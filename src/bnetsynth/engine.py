@@ -27,28 +27,28 @@ a value from a source, fired from each newly valued class through the
 swap positions assigned so far. Every state is reachable, so a complete
 assignment values every class, and a hypothesis dies as soon as a known
 value breaks a rule. Pruning only skips candidates that cannot solve the
-atom. An essp search takes a row: an event e and the open states s of
-essp:e,s (one for solve_atom). e is never contracted, and a contraction is
-dropped with the rest of its range once a class holds states that no
-solving region can give one value, or every open state shares a class
-with a source of e (or a target, if every partial keeps its value). A
-hypothesis dies once every open state's class is valued where e's
-interaction is defined. Both cuts hold for each open state alone, and
-below where they are made: classes only merge there, and the row only
-shrinks.
+atoms. An atom search takes a row: the open states j of ssp:i,j for one
+state i, or of essp:e,j for one event e (one state for solve_atom). A
+contraction is dropped with the rest of its range once every open state
+shares a class with i, or with a source of e (or a target, if every
+partial keeps its value), or a class holds states that no solver of essp
+at e can give one value; e is never contracted. A hypothesis dies once
+every open state's class is valued as i's is, or where e's interaction is
+defined. Both cuts hold for each open state alone, and below where they
+are made: classes only merge there, and the row only shrinks.
 
 solve_drts checks the canonical stream against every open atom at once
-while many searches would be needed, then runs one search per open ssp
-atom and one per open essp row. The atoms are bitmask rows built from the
-TS. Once no ssp atom is open, the stream skips a subset whose chosen
-events solve no open essp atom whatever their interactions: essp:e,s needs
-e chosen as a partial interaction, and s outside every class holding a
-source of e, since the interaction is defined at that source's value and
-its class shares it. The outcome keeps each solver as the search yields
-it, with the row hits it claimed, shrunk or not: a Region or an atom
-object is built only when a caller reads one. The counters come from the
-answer alone, never from the path that found it: candidates_examined is
-the answer's rank, and valid_regions the number of solving regions found.
+while many searches would be needed, then runs one search per open row.
+The atoms are bitmask rows built from the TS. Once no ssp atom is open,
+the stream skips a subset whose chosen events solve no open essp atom
+whatever their interactions: essp:e,s needs e chosen as a partial
+interaction, and s outside every class holding a source of e, since the
+interaction is defined at that source's value and its class shares it.
+The outcome keeps each solver as the search yields it, with the row hits
+it claimed, shrunk or not: a Region or an atom object is built only when
+a caller reads one. The counters come from the answer alone, never from
+the path that found it: candidates_examined is the answer's rank, and
+valid_regions the number of solving regions found.
 """
 
 from __future__ import annotations
@@ -138,17 +138,29 @@ _RULE = {i: _rule(i) for i in INTERACTION_ORDER}
 # binary digits as the byte values 0 and 1
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
+# A row of atoms: (_SSP, state i, bits of the states j of ssp:i,j) or
+# (_ESSP, event e, bits of the states s of essp:e,s); an _AtomIndex hit
+_Hit = tuple[int, int, int]
+_SSP, _ESSP = 0, 1
+
+
+def _atom_row(ts: TransitionSystem, atom: SeparationAtom) -> _Hit:
+    """The one-state row of an atom."""
+    if isinstance(atom, SspAtom):
+        return _SSP, ts.states.index(atom.s1), 1 << ts.states.index(atom.s2)
+    return _ESSP, ts.events.index(atom.event), 1 << ts.states.index(atom.state)
+
 
 class _Search:
-    """One enumeration run over a TS, a type, and a bound."""
+    """One enumeration run over a TS, a type, and a bound: the canonical
+    stream, or with a row only the candidates that may solve its atoms."""
 
     def __init__(
         self,
         ts: TransitionSystem,
         net_type: frozenset[str],
         d: int,
-        atom: Optional[SeparationAtom] = None,
-        row: Optional[tuple[int, int]] = None,
+        row: Optional[_Hit] = None,
     ):
         if d < 0:
             raise ValueError("restriction bound must be >= 0")
@@ -178,51 +190,48 @@ class _Search:
         self.uf_mask = [1 << s for s in range(self.n_states)]
         self.uf_trail: list[tuple[int, int]] = []
 
-        # The atom, or an essp row (event index, state bits), acts on the
-        # subset search through _contract_range alone: the row's event is
-        # never contracted, and a contraction is ruled out when some class
-        # holds one of a pair's states and meets its mask, or every state
-        # of the row lies in a class that meets fatal.
-        self.atom = atom
+        # The row acts on the subset search through _contract_range alone:
+        # an essp row's event is never contracted, and a contraction is
+        # ruled out when every open state of the row lies in a class that
+        # meets fatal, or some class holds one of sources and meets
+        # targets. The row holds the open states; the caller sheds those
+        # it has found.
         self.forced_event: Optional[int] = None
-        self.prune_pairs: list[tuple[list[int], int]] = []
-        # the row's open states; the caller sheds those it has found
-        self.row = self.fatal = 0
-        if isinstance(atom, SspAtom):
-            self.atom_s1 = self.state_idx[atom.s1]
-            self.atom_s2 = self.state_idx[atom.s2]
-            # a class holding both states gives them one value
-            self.prune_pairs.append(([self.atom_s1], 1 << self.atom_s2))
-        elif isinstance(atom, EsspAtom):
-            self.atom_s = self.state_idx[atom.state]
-            row = self.event_idx[atom.event], 1 << self.atom_s
-        if row is not None:
-            self.forced_event, self.row = row
-            e_edges = self.edges_by_event[self.forced_event]
-            self.essp_cands = cand = self.partials
-            # the partials that give the value they need (used/free), the
-            # only ones a class holding a source and a target of the event
-            # leaves
-            self.essp_keeps = tuple(i for i in cand
-                                    if _RULE[i][0] == _RULE[i][1])
-            sources = sorted({u for u, _ in e_edges})
-            targets = sum(1 << v for v in {v for _, v in e_edges})
-            # A merge of a row state with a source of the event fixes
-            # sup(state) at the value where sig(event) is defined, for any
-            # partial candidate; if every candidate keeps that value, the
-            # target has it too and target merges are just as fatal.
-            fatal = sum(1 << u for u in sources)
-            if not cand:
-                # without a partial in the type nothing solves the row
-                fatal = self.all_states
-            elif self.essp_keeps == cand:
-                fatal |= targets
-            self.fatal = fatal
-            if cand and not self.essp_keeps:
-                # inp/out need one value at every source of the event and
-                # give the other at every target, so a class holding a
-                # source and a target rules the whole contraction out
-                self.prune_pairs.append((sources, targets))
+        self.anchor: Optional[int] = None
+        self.row = self.fatal = self.targets = 0
+        self.sources: list[int] = []
+        if row is None:
+            return
+        kind, i, self.row = row
+        if kind == _SSP:
+            # ssp:i,j: a class holding i and j gives them one value
+            self.anchor = i
+            self.fatal = 1 << i
+            return
+        self.forced_event = i
+        e_edges = self.edges_by_event[i]
+        self.essp_cands = cand = self.partials
+        # the partials that give the value they need (used/free), the only
+        # ones a class holding a source and a target of the event leaves
+        self.essp_keeps = tuple(c for c in cand if _RULE[c][0] == _RULE[c][1])
+        sources = sorted({u for u, _ in e_edges})
+        targets = sum(1 << v for v in {v for _, v in e_edges})
+        # A merge of a row state with a source of the event fixes sup(state)
+        # at the value where sig(event) is defined, for any partial
+        # candidate; if every candidate keeps that value, the target has it
+        # too and target merges are just as fatal.
+        fatal = sum(1 << u for u in sources)
+        if not cand:
+            # without a partial in the type nothing solves the row
+            fatal = self.all_states
+        elif self.essp_keeps == cand:
+            fatal |= targets
+        self.fatal = fatal
+        if cand and not self.essp_keeps:
+            # inp/out need one value at every source of the event and give
+            # the other at every target, so a class holding a source and a
+            # target rules the whole contraction out
+            self.sources, self.targets = sources, targets
 
     # -- union-find ---------------------------------------------------------
 
@@ -235,7 +244,7 @@ class _Search:
     def _contract_range(self, lo: int, hi: int) -> bool:
         """Merge the classes at both ends of each edge of the events lo..hi-1;
         False, perhaps with part of it done, when the range holds the row's
-        event or the contraction cannot solve the atom or the row."""
+        event or the contraction cannot solve the row."""
         forced = self.forced_event
         if forced is not None and lo <= forced < hi:
             return False
@@ -265,12 +274,11 @@ class _Search:
         if self.row and not row:
             # every open state of the row shares a class with fatal
             return False
-        for states, mask in self.prune_pairs:
-            for u in states:
-                while parent[u] != u:
-                    u = parent[u]
-                if cls[u] & mask:
-                    return False
+        for u in self.sources:
+            while parent[u] != u:
+                u = parent[u]
+            if cls[u] & self.targets:
+                return False
         return True
 
     def _rollback_uf(self, mark: int) -> None:
@@ -380,7 +388,7 @@ class _Search:
 
         if count == 0:
             # the all-nop candidates: constant support over one big class
-            # (never reached in atom mode: _subset_dfs prunes it)
+            # (never reached in row mode: _subset_dfs prunes it)
             yield 0, (), ()
             yield self.all_states, (), ()
             return
@@ -419,16 +427,16 @@ class _Search:
         if any(not c for c in cands):
             return
 
-        # the classes of the atom's states, or of the row's open states
-        atom_pair = row_cls = 0
-        if isinstance(self.atom, SspAtom):
-            atom_pair = 1 << find(self.atom_s1) | 1 << find(self.atom_s2)
+        # the classes of the row's open states, and of an ssp row's anchor
+        row_cls = 0
         row = self.row
         while row:
             u = find((row & -row).bit_length() - 1)
             row_cls |= 1 << u
             row &= ~self.uf_mask[u]
-        atom_mode = bool(atom_pair or row_cls)
+        ssp = self.anchor is not None
+        if ssp:
+            row_cls |= 1 << find(self.anchor)
 
         # the chosen interactions; prefix[p] holds, over positions 0..p, the
         # sources that need 1, those that need 0, the sources of the swap
@@ -480,11 +488,11 @@ class _Search:
             return R, O
 
         def killed(R: int, O: int, p: int) -> bool:
-            # atom or row mode only: drop hypotheses that provably cannot
-            # yield a solving region (their validity is then irrelevant)
-            if atom_pair:
-                return (R & atom_pair == atom_pair
-                        and O & atom_pair in (0, atom_pair))
+            # row mode only: drop hypotheses that provably cannot yield a
+            # solving region (their validity is then irrelevant)
+            if ssp:
+                # dead once every open state is valued like the anchor
+                return R & row_cls == row_cls and O & row_cls in (0, row_cls)
             # cands[e_pos] holds partials only, defined just at their need:
             # dead once every row class is valued at it
             return (e_pos <= p and R & row_cls == row_cls and
@@ -533,14 +541,14 @@ class _Search:
             for st in entry[p]:
                 if st is not None:
                     st = advance(st[0], st[1], p)
-                    if st is not None and atom_mode and killed(*st, p):
+                    if st is not None and row_cls and killed(*st, p):
                         st = None
                 hyps.append(st)
             if p == last:
                 for st in hyps:
                     if st is not None:
                         # all classes valued: killed() proved it solves
-                        # the atom, or a state the row held on entry
+                        # a state the row held on entry
                         yield candidate(st[1])
             elif hyps != [None, None]:
                 p += 1
@@ -583,7 +591,8 @@ def solve_atom(
     """
     validate_atom(ts, atom)
     t0 = time.monotonic()
-    search, found = _first_solver(ts, net_type, d, atom)
+    search = _Search(ts, net_type, d, _atom_row(ts, atom))
+    found = next(search.stream(), None)
     if stats is not None:
         stats.candidates_examined = search.rank(found)
         stats.valid_regions = int(found is not None)
@@ -591,26 +600,20 @@ def solve_atom(
     return None if found is None else search.region(found)
 
 
-def _first_solver(ts: TransitionSystem, net_type: frozenset[str], d: int,
-                  atom: SeparationAtom, start: int = 0
-                  ) -> tuple[_Search, Optional[Candidate]]:
-    """The atom's search and its first solver in canonical order among the
-    subsets of at least start events, or None."""
-    search = _Search(ts, net_type, d, atom=atom)
-    return search, next(search.stream(start), None)
-
-
 def _row_finds(ts: TransitionSystem, net_type: frozenset[str], d: int,
-               event: int, row: int, start: int) -> list[Candidate]:
+               row: _Hit, start: int = 0) -> list[Candidate]:
     """The first solvers in canonical order, among the subsets of at least
-    start events, of the essp atoms of one event at the states of row."""
-    search = _Search(ts, net_type, d, row=(event, row))
+    start events, of the atoms of one row."""
+    kind, i, _ = row
+    search = _Search(ts, net_type, d, row)
     finds: list[Candidate] = []
     for cand in search.stream(start):
         mask, chosen, sigs = cand
-        # the row states where the event's partial interaction is undefined
-        bits = search.row & (
-            ~mask if _RULE[sigs[chosen.index(event)]][0] else mask)
+        # the row states on the far side of the support cut from i (ssp),
+        # or where the event's partial interaction is undefined (essp)
+        far = (mask >> i & 1 if kind == _SSP
+               else _RULE[sigs[chosen.index(i)]][0])
+        bits = search.row & (~mask if far else mask)
         if bits:
             finds.append(cand)
             search.row ^= bits
@@ -624,11 +627,6 @@ def region_solves(region: Region, net_type: frozenset[str],
     if isinstance(atom, SspAtom):
         return solves_ssp(region, atom.s1, atom.s2)
     return solves_essp(region, net_type, atom.event, atom.state)
-
-
-# A row hit of an _AtomIndex: (_SSP or _ESSP, row number, bits of that row)
-_Hit = tuple[int, int, int]
-_SSP, _ESSP = 0, 1
 
 
 class _AtomIndex:
@@ -739,11 +737,17 @@ class _AtomIndex:
         e = self.events[i]
         return (EsspAtom(e, s) for s in self._states(bits))
 
-    def open_atoms(self) -> Iterator[SeparationAtom]:
-        """The atoms the rows hold, in atom order, that of enumerate_atoms."""
+    def open_rows(self) -> Iterator[_Hit]:
+        """The rows that hold open atoms, in atom order."""
         for kind, rows in enumerate((self.ssp_row, self.essp_row)):
             for i, bits in enumerate(rows):
-                yield from self.atoms((kind, i, bits))
+                if bits:
+                    yield kind, i, bits
+
+    def open_atoms(self) -> Iterator[SeparationAtom]:
+        """The atoms the rows hold, in atom order, that of enumerate_atoms."""
+        for row in self.open_rows():
+            yield from self.atoms(row)
 
     def open_text(self) -> Iterator[str]:
         """str() of each atom open_atoms yields, without building it."""
@@ -756,11 +760,10 @@ class _AtomIndex:
 
 
 # solve_drts stops its stream before the first level at which the open
-# atoms need at most this many searches, one per ssp atom and one per essp
-# row, and finds their first solvers that way. The searches win where the
-# last levels are large, as on the compiled hitting-set instances; on small
-# systems, where a level is cheap to stream, a higher limit costs more
-# searches than it saves.
+# atoms lie in at most this many rows, and finds their first solvers with
+# one search per row. The searches win where the last levels are large, as
+# on the compiled hitting-set instances; on small systems, where a level is
+# cheap to stream, a higher limit costs more searches than it saves.
 _SEARCH_LIMIT = 16
 
 
@@ -779,11 +782,11 @@ def solve_drts(
     its Region, and the atom objects of the witness map and the unsolved
     list, are built only when the outcome's fields are read. The
     candidates come from the canonical stream, one restriction level at a
-    time, while the open atoms need more than _SEARCH_LIMIT searches: one
-    per ssp atom, as in solve_atom, and one per open essp row (_row_finds),
-    which drops each state from its row once it has the state's first
-    solver. From the first level where they need at most that many, the
-    searches' finds are checked in canonical order instead.
+    time, while the open atoms lie in more than _SEARCH_LIMIT rows. From
+    the first level where they lie in at most that many, one search per
+    open row of either kind (_row_finds), which drops each state from its
+    row once it has the state's first solver, gives the finds that are
+    checked in canonical order instead.
     Once no ssp atom is open, the stream passes a subset to its
     assignment search only if some chosen event's essp row holds a state
     outside every class with a source of that event (_AtomIndex.may_solve):
@@ -806,20 +809,14 @@ def solve_drts(
         for c in search.levels:
             if not index.open:
                 break
-            ssp = index.ssp_row
-            rows = [(e, row) for e, row in enumerate(index.essp_row) if row]
-            late = len(rows) + sum(ssp[i].bit_count()
-                                   for i in index.ssp_live) <= _SEARCH_LIMIT
+            rows = list(index.open_rows())
+            late = len(rows) <= _SEARCH_LIMIT
             source: Iterable[Candidate]
             if late:
                 # a find shared by several searches solves nothing the
                 # second time, so the loop below takes it once
-                finds = [_first_solver(ts, net_type, d, a, c)[1]
-                         for i in index.ssp_live
-                         for a in index.atoms((_SSP, i, ssp[i]))]
-                for e, row in rows:
-                    finds += _row_finds(ts, net_type, d, e, row, c)
-                source = sorted((f for f in finds if f is not None),
+                source = sorted((f for row in rows
+                                 for f in _row_finds(ts, net_type, d, row, c)),
                                 key=search.rank)
             else:
                 source = search._subset_dfs(c, index)

@@ -451,18 +451,16 @@ def search_limit(limit):
 
 
 def switch_of(ts, net_type, d):
-    """solve_drts's outcome, with the searches it ran at its switch: their
-    number, the atoms they were for and the set of their start levels."""
-    with mock.patch.object(engine, "_first_solver",
-                           wraps=engine._first_solver) as atoms, \
-            mock.patch.object(engine, "_row_finds",
-                              wraps=engine._row_finds) as rows:
+    """solve_drts's outcome, with the row searches it ran at its switch:
+    their number, the atoms they were for and the set of their start
+    levels."""
+    with mock.patch.object(engine, "_row_finds",
+                           wraps=engine._row_finds) as spy:
         outcome = b.solve_drts(ts, net_type, d)
-    searches = ([(1, call.args[4]) for call in atoms.call_args_list] +
-                [(call.args[4].bit_count(), call.args[5])
-                 for call in rows.call_args_list])
-    return outcome, (len(searches), sum(n for n, _ in searches),
-                     {start for _, start in searches})
+    rows = [call.args[3] for call in spy.call_args_list]
+    starts = {call.args[4] for call in spy.call_args_list}
+    return outcome, (len(rows), sum(bits.bit_count() for *_, bits in rows),
+                     starts)
 
 
 def outcome_fields(outcome):
@@ -519,16 +517,26 @@ def test_drts_switch_partway_matches_the_stream():
     assert outcome_fields(hybrid) == outcome_fields(streamed)
 
 
-def test_searches_at_the_switch_are_pinned(demo_hs):
+def test_searches_at_the_switch_are_pinned(demo_hs, a3):
     # (searches, atoms they are for, level): an exact count of the effort
-    # at the switch, where a time would be noisy
+    # at the switch, where a time would be noisy, with the verdict and the
+    # counters
     c06_yes = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 3)
-    for construction, inst, want in (("1.1", c06_yes, (5, 19, {3})),
-                                     ("1.2", demo_hs, (9, 70, {3})),
-                                     ("1.3", demo_hs, (10, 22, {4}))):
+    systems = []
+    for construction, inst, want in (
+            ("1.1", c06_yes, (5, 19, {3}, True, 314_578, 89)),
+            ("1.2", demo_hs, (9, 70, {3}, True, 16_692_420, 208)),
+            ("1.3", demo_hs, (10, 22, {4}, False, 754_346_552, 565))):
         art = b.reduce_instance(construction, inst)
-        _, got = switch_of(art.ts, art.default_type, art.d)
-        assert got == want, construction
+        systems.append((art.ts, art.default_type, art.d, want))
+    # ssp atoms open at the switch: three ssp rows hold six of the atoms
+    # open at level 0, and three essp rows the rest
+    systems += [(a3, TYPE_0, 2, (6, 15, {0}, True, 34, 6)),
+                (diamond(), TYPE_ALL, 2, (6, 14, {0}, True, 242, 5))]
+    for ts, net_type, d, want in systems:
+        outcome, switch = switch_of(ts, net_type, d)
+        assert (*switch, outcome.solvable, outcome.stats.candidates_examined,
+                outcome.stats.valid_regions) == want, want
 
 
 # synth on triangle 1.4 and demo 1.4 at kappa 2, at their default type and
@@ -926,7 +934,8 @@ def assert_leaves_contract_the_unchosen_events(ts, net_type=TYPE_1,
                                                atom=None, d=None):
     n = len(ts.events)
     d = n if d is None else d
-    search = _Search(ts, net_type, d, atom=atom)
+    search = _Search(ts, net_type, d,
+                     None if atom is None else engine._atom_row(ts, atom))
     seen = watch_leaves(search, ts)
     for _ in search.stream():
         pass
@@ -974,7 +983,8 @@ def test_triangle_t14_pruning_keeps_its_power():
     for kappa in (2, 1):
         art = b.reduce_instance(
             "1.4", b.build_hs_instance(["X1", "X2", "X3"], pairs, kappa))
-        search = _Search(art.ts, art.default_type, art.d, atom=art.alpha)
+        search = _Search(art.ts, art.default_type, art.d,
+                         engine._atom_row(art.ts, art.alpha))
         seen = watch_leaves(search, art.ts)
         next(search.stream(), None)
         got.append((art.d, len(seen)))
@@ -1029,7 +1039,8 @@ OVERLAP_TYPES = [frozenset(t) for t in (
 
 def assert_atoms_match_first_solver(ts, net_type, d):
     """solve_atom against the first valid solving entry of the brute-force
-    candidate list, with its rank, or None and the length of the list."""
+    candidate list, with its rank, or None and the length of the list; each
+    ssp atom also reversed, a row anchored above its open state."""
     tree = b.spanning_tree(ts)
     order = brute_force_candidates(ts, net_type, d)
     valid = []
@@ -1038,7 +1049,9 @@ def assert_atoms_match_first_solver(ts, net_type, d):
                                  dict(zip(ts.events, sig)), tree)
         if region is not None:
             valid.append((k, region))
-    for atom in b.enumerate_atoms(ts):
+    atoms = b.enumerate_atoms(ts)
+    for atom in atoms + [SspAtom(a.s2, a.s1) for a in atoms
+                         if isinstance(a, SspAtom)]:
         rank, want = next(((k, r) for k, r in valid
                            if b.region_solves(r, net_type, atom)),
                           (len(order), None))
@@ -1083,13 +1096,14 @@ def test_random_overlap_pruning_matches_the_first_solver(ts, rest, changer,
     assert_atoms_match_first_solver(ts, rest | {changer}, d)
 
 
-# -- one search per essp row against each state's first solver ---------------
+# -- one search per row against each state's first solver --------------------
 
 def assert_rows_match_first_solver(ts, net_type, d):
-    """engine._row_finds on each essp row of the TS, whole and without its
-    first state, from every start level, against the first valid solving
-    entry of the brute-force candidate list with at least start non-nop
-    events, state by state: each find is some state's first solver."""
+    """engine._row_finds on each ssp and essp row of the TS, whole and
+    without its first state, from every start level, against the first
+    valid solving entry of the brute-force candidate list with at least
+    start non-nop events, state by state: each find is some state's first
+    solver."""
     tree = b.spanning_tree(ts)
     valid = []
     for k, (supinit, sig) in enumerate(
@@ -1100,12 +1114,13 @@ def assert_rows_match_first_solver(ts, net_type, d):
             valid.append((k, len(sig) - sig.count("nop"), region))
     search = _Search(ts, net_type, d)
     index = engine._AtomIndex(ts)
-    for e, full in enumerate(index.essp_row):
-        for row in {full, full & full - 1} - {0}:
-            atoms = list(index.atoms((engine._ESSP, e, row)))
+    for kind, i, full in index.open_rows():
+        for bits in {full, full & full - 1} - {0}:
+            row = kind, i, bits
+            atoms = list(index.atoms(row))
             for start in range(d + 2):
                 got = {}
-                for cand in engine._row_finds(ts, net_type, d, e, row, start):
+                for cand in engine._row_finds(ts, net_type, d, row, start):
                     region = search.region(cand)
                     new = [a for a in atoms if a not in got and
                            b.region_solves(region, net_type, a)]
@@ -1135,7 +1150,7 @@ def test_random_row_finds_match_the_first_solver(ts, net_type, d):
 
 def test_demo_row_finds_match_the_atom_searches(demo_hs):
     # each row solve_drts searches at its switch, against one search per
-    # atom from the same level
+    # atom, on its one-state row, from the same level
     for construction in ("1.1", "1.2", "1.3"):
         art = b.reduce_instance(construction, demo_hs)
         with mock.patch.object(engine, "_row_finds",
@@ -1144,16 +1159,18 @@ def test_demo_row_finds_match_the_atom_searches(demo_hs):
         assert spy.call_args_list, construction
         index = engine._AtomIndex(art.ts)
         for call in spy.call_args_list:
-            ts, net_type, d, e, row, start = call.args
+            ts, net_type, d, row, start = call.args
+            kind, i, bits = row
             finds = engine._row_finds(*call.args)
             first = {}
             for cand in finds:
-                for kind, i, bits in index.hits(cand):
-                    if (kind, i) == (engine._ESSP, e):
+                for hit in index.hits(cand):
+                    if hit[:2] == (kind, i):
                         first.update((a, cand) for a in index.atoms(
-                            (kind, i, bits & row)) if a not in first)
-            for atom in index.atoms((engine._ESSP, e, row)):
-                _, want = engine._first_solver(ts, net_type, d, atom, start)
+                            (kind, i, hit[2] & bits)) if a not in first)
+            for atom in index.atoms(row):
+                search = _Search(ts, net_type, d, engine._atom_row(ts, atom))
+                want = next(search.stream(start), None)
                 assert first.get(atom) == want, (construction, str(atom))
             # and no find that is not some atom's first solver
             assert len(set(first.values())) == len(finds), construction
@@ -1166,6 +1183,17 @@ class DictWatchSearch(_Search):
     reference: per hypothesis a dict of class values, watch lists of the
     constraints whose source class has no value yet, undo trails and a
     recursive generator over positions."""
+
+    def __init__(self, ts, net_type, d, atom=None):
+        # the subset search is _Search's, on the atom's one-state row
+        super().__init__(ts, net_type, d,
+                         None if atom is None else engine._atom_row(ts, atom))
+        self.atom = atom
+        if isinstance(atom, SspAtom):
+            self.atom_s1 = self.state_idx[atom.s1]
+            self.atom_s2 = self.state_idx[atom.s2]
+        elif isinstance(atom, EsspAtom):
+            self.atom_s = self.state_idx[atom.state]
 
     def _assignments(self, chosen: list[int]) -> Iterator[Candidate]:
         count = len(chosen)
