@@ -32,10 +32,13 @@ state i, or of essp:e,j for one event e (one state for solve_atom). A
 contraction is dropped with the rest of its range once every open state
 shares a class with i, or with a source of e (or a target, if every
 partial keeps its value), or a class holds states that no solver of essp
-at e can give one value; e is never contracted. A hypothesis dies once
-every open state's class is valued as i's is, or where e's interaction is
-defined. Both cuts hold for each open state alone, and below where they
-are made: classes only merge there, and the row only shrinks.
+at e can give one value. e is chosen in every subset: the search chooses
+the rest among the other events. A hypothesis dies once every open state's
+class is valued as i's is, or where e's interaction is defined. Both cuts
+hold for each open state alone, and below where they are made: classes
+only merge there, and the row only shrinks. When every candidate at e
+needs one value and gives one, e's sources and targets, and the class of
+a row in one class, are valued before the odometer starts.
 
 solve_drts checks the canonical stream against every open atom at once
 while many searches would be needed, then runs one search per open row.
@@ -60,7 +63,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from math import comb
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import interactions
 from .interactions import INTERACTION_ORDER, PARTIAL, apply as apply_i
@@ -190,13 +193,15 @@ class _Search:
         self.uf_mask = [1 << s for s in range(self.n_states)]
         self.uf_trail: list[tuple[int, int]] = []
 
-        # The row acts on the subset search through _contract_range alone:
-        # an essp row's event is never contracted, and a contraction is
-        # ruled out when every open state of the row lies in a class that
-        # meets fatal, or some class holds one of sources and meets
-        # targets. The row holds the open states; the caller sheds those
-        # it has found.
+        # The row acts on the subset search through free, the events it
+        # chooses from (an essp row's event is in every subset, so not among
+        # them), and _contract_range: a contraction is ruled out when every
+        # open state of the row lies in a class that meets fatal, or some
+        # class holds one of sources and meets targets. The row holds the
+        # open states; the caller sheds those it has found.
         self.forced_event: Optional[int] = None
+        self.free: Sequence[int] = range(self.n_events)
+        self.free_edges = self.edges_by_event
         self.anchor: Optional[int] = None
         self.row = self.fatal = self.targets = 0
         self.sources: list[int] = []
@@ -209,6 +214,8 @@ class _Search:
             self.fatal = 1 << i
             return
         self.forced_event = i
+        self.free = [e for e in self.free if e != i]
+        self.free_edges = [self.edges_by_event[e] for e in self.free]
         e_edges = self.edges_by_event[i]
         self.essp_cands = cand = self.partials
         # the partials that give the value they need (used/free), the only
@@ -242,14 +249,11 @@ class _Search:
         return x
 
     def _contract_range(self, lo: int, hi: int) -> bool:
-        """Merge the classes at both ends of each edge of the events lo..hi-1;
-        False, perhaps with part of it done, when the range holds the row's
-        event or the contraction cannot solve the row."""
-        forced = self.forced_event
-        if forced is not None and lo <= forced < hi:
-            return False
+        """Merge the classes at both ends of each edge of the free events at
+        positions lo..hi-1; False, perhaps with part of it done, when the
+        contraction cannot solve the row."""
         parent, cls, trail = self.uf_parent, self.uf_mask, self.uf_trail
-        edges = self.edges_by_event
+        edges = self.free_edges
         for e in range(lo, hi):
             for u, v in edges[e]:
                 while parent[u] != u:  # _find, inlined for speed
@@ -331,25 +335,36 @@ class _Search:
                     ) -> Iterator[Candidate]:
         """The subsets of count events in lexicographic order, each reaching
         _assignments with every other event contracted, unless
-        index.may_solve rules it out.
+        index.may_solve rules it out. An essp row's event is in every
+        subset that can solve the row: the search chooses the other
+        count - 1 among the free events, and the row's event joins each
+        leaf. Dropping an element that every subset holds keeps subsets of
+        one size in lexicographic order.
 
-        One stack of ranges: a frame (k, lo, hi, clo, chi, mark) rolls the
-        union-find back to mark, keeps the first k chosen events, contracts
-        the events clo..chi-1 and visits the choices lo..hi-1 of slot k. A
-        range is split into a left part, visited first, and a right part,
-        visited with the left part contracted. A slot before the last takes
-        off its first choice, which is chosen while the next slot is
-        visited. The last slot is halved, its left half visited with the
-        right half contracted, so each event is contracted O(log |E|) times
-        per prefix rather than once per leaf. A part whose contraction is
-        refused is skipped whole.
+        One stack of ranges over the free events' positions: a frame (k,
+        lo, hi, clo, chi, mark) rolls the union-find back to mark, keeps
+        the first k chosen events, contracts the events clo..chi-1 and
+        visits the choices lo..hi-1 of slot k. A range is split into a left
+        part, visited first, and a right part, visited with the left part
+        contracted. A slot before the last takes off its first choice,
+        which is chosen while the next slot is visited. The last slot is
+        halved, its left half visited with the right half contracted, so
+        each event is contracted O(log |E|) times per prefix rather than
+        once per leaf. A part whose contraction is refused is skipped whole.
         """
-        n, trail = self.n_events, self.uf_trail
+        free, forced = self.free, self.forced_event
+        n, trail = len(free), self.uf_trail
         base = len(trail)
+        if forced is not None:
+            if not count:
+                # no subset without the row's event solves the row
+                return
+            count -= 1
         if not count:
-            # every event nop
-            if self._contract_range(0, n):
-                yield from self._assignments([])
+            # every free event nop
+            if not n or self._contract_range(0, n):
+                yield from self._assignments(
+                    [] if forced is None else [forced])
             self._rollback_uf(base)
             return
         last = count - 1
@@ -367,28 +382,54 @@ class _Search:
             if k < last:
                 if hi - lo > 1:
                     stack.append((k, lo + 1, hi, lo, lo + 1, mark))
-                chosen.append(lo)
+                chosen.append(free[lo])
                 stack.append((k + 1, lo + 1, hi + 1, 0, 0, mark))
             elif hi - lo > 1:
                 mid = (lo + hi) // 2
                 stack.append((k, mid, hi, lo, mid, mark))
                 stack.append((k, lo, mid, mid, hi, mark))
             else:
-                chosen.append(lo)
-                if index is None or index.may_solve(self, chosen):
+                chosen.append(free[lo])
+                if forced is not None:
+                    yield from self._assignments(sorted([*chosen, forced]))
+                elif index is None or index.may_solve(self, chosen):
                     yield from self._assignments(chosen)
         self._rollback_uf(base)
 
     # -- per-subset assignment search ---------------------------------------
 
+    def _prevalued(self, cands: tuple[str, ...], src: int, tgt: int,
+                   row_cls: int) -> Optional[tuple[int, int]]:
+        """The classes valued in both hypotheses before an essp row's
+        odometer starts, as (valued, valued 1) over class bits; None when
+        every row class (row_cls) then holds the need, so nothing solves the
+        row. When the candidates at the row's event (cands) share one need
+        and one give, its sources (src) hold the need and its targets (tgt)
+        the give, and a row in one class the other value than the need."""
+        rules = {_RULE[i] for i in cands}
+        if len(rules) != 1:
+            return 0, 0
+        (need, give), = rules
+        R, O = src | tgt, (src if need else 0) | (tgt if give else 0)
+        if row_cls.bit_count() == 1 and not row_cls & R:
+            R |= row_cls
+            O |= 0 if need else row_cls
+        if row_cls & R == row_cls and row_cls & O == (row_cls if need else 0):
+            return None
+        return R, O
+
     def _assignments(self, chosen: list[int]) -> Iterator[Candidate]:
+        """The candidates of one subset, with every other event contracted,
+        in canonical order; an essp row's classes that _prevalued values
+        are valued in both hypotheses before the odometer starts."""
         count = len(chosen)
         find = self._find
         rule = _RULE
 
         if count == 0:
             # the all-nop candidates: constant support over one big class
-            # (never reached in row mode: _subset_dfs prunes it)
+            # (never reached by a row: an essp row's event is always chosen,
+            # and an ssp row's states share i's class)
             yield 0, (), ()
             yield self.all_states, (), ()
             return
@@ -415,18 +456,6 @@ class _Search:
             tgt.append(t)
             succ.append(m)
 
-        # candidate interactions per position, canonical order throughout
-        cands: list[tuple[str, ...]] = [self.non_nop] * count
-        e_pos = -1
-        if self.forced_event is not None:
-            e_pos = chosen.index(self.forced_event)
-            # a class that is both a source and a target of the event rules
-            # out the value-changing partials
-            overlap = src[e_pos] & tgt[e_pos]
-            cands[e_pos] = self.essp_keeps if overlap else self.essp_cands
-        if any(not c for c in cands):
-            return
-
         # the classes of the row's open states, and of an ssp row's anchor
         row_cls = 0
         row = self.row
@@ -437,6 +466,38 @@ class _Search:
         ssp = self.anchor is not None
         if ssp:
             row_cls |= 1 << find(self.anchor)
+
+        # candidate interactions per position, canonical order throughout;
+        # R0 the classes valued in both hypotheses from the start, O0 those
+        # at 1, and other[v] those valued other than v
+        cands: list[tuple[str, ...]] = [self.non_nop] * count
+        e_pos = -1
+        R0 = O0 = 0
+        if self.forced_event is not None:
+            e_pos = chosen.index(self.forced_event)
+            # a class that is both a source and a target of the event rules
+            # out the value-changing partials
+            overlap = src[e_pos] & tgt[e_pos]
+            cands[e_pos] = self.essp_keeps if overlap else self.essp_cands
+            pre = self._prevalued(cands[e_pos], src[e_pos], tgt[e_pos],
+                                  row_cls)
+            if pre is None:
+                return
+            R0, O0 = pre
+            if row_cls & R0 == row_cls:
+                # every row class is valued, not all at the need, so
+                # killed() never holds
+                row_cls = 0
+        other = (O0, R0 ^ O0)
+        if R0:
+            # drop the interactions that need or give another value than a
+            # pre-valued class holds: both hypotheses would die there
+            cands = [tuple(i for i in c if not any(
+                v is not None and ends & other[v]
+                for v, ends in zip(rule[i], (s, t))))
+                for c, s, t in zip(cands, src, tgt)]
+        if any(not c for c in cands):
+            return
 
         # the chosen interactions; prefix[p] holds, over positions 0..p, the
         # sources that need 1, those that need 0, the sources of the swap
@@ -514,7 +575,8 @@ class _Search:
         # (R, O) on reaching p, None once dead; nxt[p] indexes cands[p]
         last = count - 1
         init = 1 << find(self.init_idx)
-        entry = [[(init, 0), (init, init)]] + [[]] * last
+        entry = [[None if init & other[h] else (R0 | init, O0 | init * h)
+                  for h in (0, 1)]] + [[]] * last
         nxt = [0] * count
         p = 0
         while p >= 0:
@@ -547,8 +609,9 @@ class _Search:
             if p == last:
                 for st in hyps:
                     if st is not None:
-                        # all classes valued: killed() proved it solves
-                        # a state the row held on entry
+                        # all classes valued: killed() or the pre-valued
+                        # row class proved it solves a state the row held
+                        # on entry
                         yield candidate(st[1])
             elif hyps != [None, None]:
                 p += 1

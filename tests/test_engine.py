@@ -654,6 +654,24 @@ def test_leaf_check_effort_is_pinned():
     assert 3 * subsets < spy.call_count
 
 
+def test_row_search_effort_is_pinned(demo_hs):
+    # the alpha query at kappa 1 and d=5: the contractions made and the
+    # subsets reaching the assignment search. The essp row's event is
+    # chosen in every subset, so no prefix without it is walked.
+    triangle = b.build_hs_instance(["X1", "X2", "X3"], [["X1", "X2"],
+                                   ["X2", "X3"], ["X1", "X3"]], 1)
+    demo = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 1)
+    got = []
+    for construction, inst in (("1.3", demo), ("1.4", triangle)):
+        art = b.reduce_instance(construction, inst)
+        with mock.patch.object(_Search, "_contract_range", autospec=True,
+                               side_effect=_Search._contract_range) as spy, \
+                count_assignments() as subsets:
+            found = b.solve_atom(art.ts, art.default_type, art.d, art.alpha)
+        got.append((art.d, found, spy.call_count, subsets.call_count))
+    assert got == [(5, None, 4_107, 352), (5, None, 7_168, 200)]
+
+
 def test_shuffled_line_synth_within_budget():
     ts = shuffled_line(200, random.Random(3))
     with budget(1.0):
@@ -1174,6 +1192,155 @@ def test_demo_row_finds_match_the_atom_searches(demo_hs):
                 assert first.get(atom) == want, (construction, str(atom))
             # and no find that is not some atom's first solver
             assert len(set(first.values())) == len(finds), construction
+
+
+# -- an essp row's search: its leaves, and its pre-valued odometer ----------------
+
+def essp_rows(ts):
+    """Each essp row of the TS as a search row: whole, without its lowest
+    state, and each of its states alone."""
+    for kind, event, full in engine._AtomIndex(ts).open_rows():
+        if kind == engine._ESSP:
+            parts = {full, full & full - 1} | {
+                1 << s for s in range(full.bit_length()) if full >> s & 1}
+            for bits in sorted(parts - {0}):
+                yield kind, event, bits
+
+
+def plain_leaves(ts, net_type, d, event, bits):
+    """The event subsets an essp row's search must pass to _assignments, in
+    canonical order: those of brute_force_candidates that hold the event
+    and, once every other event is contracted by a plain union-find, leave
+    an open state of the row outside every class with a source of the
+    event (or a target, when every partial of the type keeps its value),
+    and, when every partial changes it, no class with a source and a
+    target. A subset that leaves no event out is not tested."""
+    sidx = {s: i for i, s in enumerate(ts.states)}
+    edges = [(sidx[u], ts.events.index(e), sidx[v]) for u, e, v in ts.edges]
+    sources = {u for u, e, _ in edges if e == event}
+    targets = {v for _, e, v in edges if e == event}
+    partials = net_type & PARTIAL
+    keeps = partials & {"used", "free"}
+    fatal = (set(sidx.values()) if not partials else
+             sources | targets if keeps == partials else sources)
+    row = [s for s in sidx.values() if bits >> s & 1]
+    subsets = dict.fromkeys(
+        tuple(j for j, i in enumerate(sig) if i != "nop")
+        for _, sig in brute_force_candidates(ts, net_type, d))
+    leaves = []
+    for chosen in subsets:
+        if event not in chosen:
+            continue
+        parent = list(range(len(ts.states)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, e, v in edges:
+            if e not in chosen:
+                parent[find(u)] = find(v)
+        if len(chosen) < len(ts.events):
+            walls = {find(s) for s in fatal}
+            if all(find(s) in walls for s in row):
+                continue
+            if (partials and not keeps and
+                    {find(s) for s in sources} & {find(t) for t in targets}):
+                continue
+        leaves.append(chosen)
+    return leaves
+
+
+def assert_row_leaves_match_a_plain_union_find(ts, net_type, d):
+    for row in essp_rows(ts):
+        search = _Search(ts, net_type, d, row)
+        seen = watch_leaves(search, ts)
+        for _ in search.stream():
+            pass
+        assert seen == plain_leaves(ts, net_type, d, *row[1:]), \
+            (sorted(net_type), d, row)
+
+
+ROW_LEAF_TYPES = OVERLAP_TYPES + [TYPE_1, TYPE_ALL]
+
+
+def test_row_leaves_match_a_plain_union_find():
+    for ts in overlap_systems():
+        for net_type in ROW_LEAF_TYPES:
+            for d in range(4):
+                assert_row_leaves_match_a_plain_union_find(ts, net_type, d)
+
+
+@given(small_ts(), st.sampled_from(ROW_LEAF_TYPES), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_random_row_leaves_match_a_plain_union_find(ts, net_type, d):
+    assert_row_leaves_match_a_plain_union_find(ts, net_type, d)
+
+
+class PlainOdometer(_Search):
+    """An essp row's search with nothing pre-valued: the reference for
+    _prevalued, whose cuts it leaves to the kill."""
+
+    def _prevalued(self, cands, src, tgt, row_cls):
+        return 0, 0
+
+
+def leaf_yields(search):
+    """Each subset the search passes to _assignments, with the candidates
+    yielded for it, in order."""
+    log = []
+    assignments = search._assignments
+
+    def logged(chosen):
+        cands = list(assignments(chosen))
+        log.append((tuple(chosen), cands))
+        return iter(cands)
+
+    search._assignments = logged
+    for _ in search.stream():
+        pass
+    return log
+
+
+# nothing pre-valued (two partials with different needs), pre-valued only
+# where a class holds a source and a target (inp, free), and the two
+# one-partial types of the constructions, with swap; then every interaction
+PREVALUE_TYPES = [frozenset(t.split(",")) for t in (
+    "nop,inp,out", "nop,inp,free", "nop,set,swap,used",
+    "nop,inp,res,swap")] + [TYPE_ALL]
+
+
+def assert_prevalued_matches_plain(ts, net_type, d):
+    for row in essp_rows(ts):
+        want = leaf_yields(PlainOdometer(ts, net_type, d, row))
+        assert leaf_yields(_Search(ts, net_type, d, row)) == want, \
+            (sorted(net_type), d, row)
+
+
+def test_prevalued_odometer_matches_the_plain_one(a3):
+    results = []
+    prevalued = _Search._prevalued
+
+    def record(*args):
+        results.append(prevalued(*args))
+        return results[-1]
+
+    with mock.patch.object(_Search, "_prevalued", autospec=True,
+                           side_effect=record):
+        for ts in (a3, diamond(), *overlap_systems()):
+            for net_type in PREVALUE_TYPES:
+                for d in range(min(len(ts.events), 3) + 1):
+                    assert_prevalued_matches_plain(ts, net_type, d)
+    # every outcome of the step is taken: nothing, classes, no solver
+    assert {(0, 0), None} < set(results)
+
+
+@given(small_ts(max_states=6, max_events=4), st.sampled_from(PREVALUE_TYPES),
+       st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_random_prevalued_odometer_matches_the_plain_one(ts, net_type, d):
+    assert_prevalued_matches_plain(ts, net_type, d)
 
 
 # -- the bitmask assignment kernel against the dict/watch-list search -----------
