@@ -10,13 +10,14 @@ interaction order, then initial support 0 before 1.
 Fixing the nop-events contracts the TS, because nop forces equal support
 across an edge. Each subset is therefore explored on a quotient graph
 maintained by a rollback union-find that keeps each class's states as a
-bitmask. The subsets are walked on one explicit stack of choice ranges:
-a range is split into a left part, visited first, and a right part,
-visited with the left part contracted. A slot before the last splits off
-its first choice; the last slot is halved, its left half visited with the
-right half contracted, so each event is contracted O(log |E|) times per
-prefix rather than once per leaf, and the leaves still come out in
-ascending order.
+bitmask; contracting an event walks a spanning forest of its own edges,
+which merges the same classes as all of them. The subsets are walked on
+one explicit stack of choice ranges: a range is split into a left part,
+visited first, and a right part, visited with the left part contracted.
+A slot before the last splits off its first choice; the last slot is
+halved, its left half visited with the right half contracted, so each
+event is contracted O(log |E|) times per prefix rather than once per
+leaf, and the leaves still come out in ascending order.
 A subset's assignments are an odometer over positions for both initial-
 support hypotheses: two bitmasks over quotient classes each (R valued, O
 valued 1), snapshotted per position. Every interaction but swap gives its
@@ -138,6 +139,12 @@ def _rule(i: str) -> tuple[Optional[int], Optional[int]]:
 # the source value kept or flipped
 _RULE = {i: _rule(i) for i in INTERACTION_ORDER}
 
+# for each clash code, the interactions left: bit v of the code rules out a
+# need of v at a source, bit 2 + v a give of v to a target
+_FITS = [frozenset(i for i in INTERACTION_ORDER if not code & sum(
+    b << v for b, v in zip((1, 4), _RULE[i]) if v is not None))
+    for code in range(16)]
+
 # binary digits as the byte values 0 and 1
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -193,15 +200,32 @@ class _Search:
         self.uf_mask = [1 << s for s in range(self.n_states)]
         self.uf_trail: list[tuple[int, int]] = []
 
+        # each event's spanning forest: the root pairs its edges merge when
+        # they alone are contracted, which is also the trail to undo them
+        parent = self.uf_parent
+        forests = []
+        for edges in self.edges_by_event:
+            forest = []
+            for u, v in edges:
+                u, v = self._find(u), self._find(v)
+                if u != v:
+                    parent[v] = u
+                    forest.append((u, v))
+            for _, v in forest:
+                parent[v] = v
+            forests.append(forest)
+
         # The row acts on the subset search through free, the events it
         # chooses from (an essp row's event is in every subset, so not among
-        # them), and _contract_range: a contraction is ruled out when every
-        # open state of the row lies in a class that meets fatal, or some
-        # class holds one of sources and meets targets. The row holds the
-        # open states; the caller sheds those it has found.
+        # them), free_edges, their forests by position, and _contract_range:
+        # a contraction is ruled out when every open state of the row lies
+        # in a class that meets fatal, or some class holds one of sources
+        # and meets targets. The row holds the open states; the caller
+        # sheds those it has found. Reading every edge: the row's set-up,
+        # _assignments and may_solve.
         self.forced_event: Optional[int] = None
         self.free: Sequence[int] = range(self.n_events)
-        self.free_edges = self.edges_by_event
+        self.free_edges = forests
         self.anchor: Optional[int] = None
         self.row = self.fatal = self.targets = 0
         self.sources: list[int] = []
@@ -215,12 +239,19 @@ class _Search:
             return
         self.forced_event = i
         self.free = [e for e in self.free if e != i]
-        self.free_edges = [self.edges_by_event[e] for e in self.free]
+        self.free_edges = [forests[e] for e in self.free]
         e_edges = self.edges_by_event[i]
         self.essp_cands = cand = self.partials
         # the partials that give the value they need (used/free), the only
         # ones a class holding a source and a target of the event leaves
         self.essp_keeps = tuple(c for c in cand if _RULE[c][0] == _RULE[c][1])
+        # each tuple a position can hold, kept by clash code (bit v: some
+        # source class is valued other than v, bit 2 + v: a target class);
+        # and the rules of each tuple the event can hold
+        self.keep = {c: [tuple(filter(f.__contains__, c)) for f in _FITS]
+                     for c in {self.non_nop, cand, self.essp_keeps}}
+        self.rules = {c: set(map(_RULE.get, c))
+                      for c in (cand, self.essp_keeps)}
         sources = sorted({u for u, _ in e_edges})
         targets = sum(1 << v for v in {v for _, v in e_edges})
         # A merge of a row state with a source of the event fixes sup(state)
@@ -249,9 +280,9 @@ class _Search:
         return x
 
     def _contract_range(self, lo: int, hi: int) -> bool:
-        """Merge the classes at both ends of each edge of the free events at
-        positions lo..hi-1; False, perhaps with part of it done, when the
-        contraction cannot solve the row."""
+        """Merge the classes at both ends of each edge of the forests of the
+        free events at positions lo..hi-1; False, perhaps with part of it
+        done, when the contraction cannot solve the row."""
         parent, cls, trail = self.uf_parent, self.uf_mask, self.uf_trail
         edges = self.free_edges
         for e in range(lo, hi):
@@ -406,7 +437,7 @@ class _Search:
         row. When the candidates at the row's event (cands) share one need
         and one give, its sources (src) hold the need and its targets (tgt)
         the give, and a row in one class the other value than the need."""
-        rules = {_RULE[i] for i in cands}
+        rules = self.rules[cands]
         if len(rules) != 1:
             return 0, 0
         (need, give), = rules
@@ -421,7 +452,8 @@ class _Search:
     def _assignments(self, chosen: list[int]) -> Iterator[Candidate]:
         """The candidates of one subset, with every other event contracted,
         in canonical order; an essp row's classes that _prevalued values
-        are valued in both hypotheses before the odometer starts."""
+        are valued in both hypotheses before the odometer starts, and each
+        position keeps the interactions that its clash code leaves."""
         count = len(chosen)
         find = self._find
         rule = _RULE
@@ -469,10 +501,13 @@ class _Search:
 
         # candidate interactions per position, canonical order throughout;
         # R0 the classes valued in both hypotheses from the start, O0 those
-        # at 1, and other[v] those valued other than v
+        # at 1, and other[v] those valued other than v. A hypothesis cannot
+        # solve the row, so dies, once every row class is valued, all at one
+        # value of dead (ssp: like the anchor), from e_pos on
         cands: list[tuple[str, ...]] = [self.non_nop] * count
         e_pos = -1
         R0 = O0 = 0
+        dead: tuple[int, ...] = (0, row_cls) if ssp else ()
         if self.forced_event is not None:
             e_pos = chosen.index(self.forced_event)
             # a class that is both a source and a target of the event rules
@@ -485,18 +520,19 @@ class _Search:
                 return
             R0, O0 = pre
             if row_cls & R0 == row_cls:
-                # every row class is valued, not all at the need, so
-                # killed() never holds
+                # every row class is valued, not all at the need, so no
+                # hypothesis dies of the row
                 row_cls = 0
-        other = (O0, R0 ^ O0)
+        other = o0, o1 = O0, R0 ^ O0
         if R0:
             # drop the interactions that need or give another value than a
-            # pre-valued class holds: both hypotheses would die there
-            cands = [tuple(i for i in c if not any(
-                v is not None and ends & other[v]
-                for v, ends in zip(rule[i], (s, t))))
-                for c, s, t in zip(cands, src, tgt)]
-        if any(not c for c in cands):
+            # pre-valued class holds, by the position's clash code: both
+            # hypotheses would die there
+            keep = self.keep
+            cands = [keep[c][(s & o0 > 0) | (s & o1 > 0) << 1 |
+                             (t & o0 > 0) << 2 | (t & o1 > 0) << 3]
+                     for c, s, t in zip(cands, src, tgt)]
+        if not all(cands):
             return
 
         # the chosen interactions; prefix[p] holds, over positions 0..p, the
@@ -548,17 +584,6 @@ class _Search:
                 return None
             return R, O
 
-        def killed(R: int, O: int, p: int) -> bool:
-            # row mode only: drop hypotheses that provably cannot yield a
-            # solving region (their validity is then irrelevant)
-            if ssp:
-                # dead once every open state is valued like the anchor
-                return R & row_cls == row_cls and O & row_cls in (0, row_cls)
-            # cands[e_pos] holds partials only, defined just at their need:
-            # dead once every row class is valued at it
-            return (e_pos <= p and R & row_cls == row_cls and
-                    O & row_cls == (row_cls if rule[sig[e_pos]][0] else 0))
-
         cls = self.uf_mask
         chosen_t = tuple(chosen)
 
@@ -599,17 +624,22 @@ class _Search:
                 sw |= s
                 swaps.append(p)
             prefix[p] = n1, n0, sw, len(swaps)
+            if p == e_pos and row_cls:
+                # an essp row's partials are defined just at their need
+                dead = (row_cls if need else 0,)
             hyps: list[Optional[tuple[int, int]]] = []
             for st in entry[p]:
                 if st is not None:
                     st = advance(st[0], st[1], p)
-                    if st is not None and row_cls and killed(*st, p):
+                    if (st is not None and dead and p >= e_pos and
+                            st[0] & row_cls == row_cls and
+                            st[1] & row_cls in dead):
                         st = None
                 hyps.append(st)
             if p == last:
                 for st in hyps:
                     if st is not None:
-                        # all classes valued: killed() or the pre-valued
+                        # all classes valued: the kill or the pre-valued
                         # row class proved it solves a state the row held
                         # on entry
                         yield candidate(st[1])

@@ -672,6 +672,30 @@ def test_row_search_effort_is_pinned(demo_hs):
     assert got == [(5, None, 4_107, 352), (5, None, 7_168, 200)]
 
 
+def test_row_search_edges_walked_are_pinned(demo_hs):
+    # the edges _contract_range walks on the same alpha queries, and on
+    # demo 1.2: each event's spanning forest, without the self-loops of 1.2
+    # and the two-cycles of 1.3 (every edge: 4,670, 41,316 and 53,484)
+    triangle = b.build_hs_instance(["X1", "X2", "X3"], [["X1", "X2"],
+                                   ["X2", "X3"], ["X1", "X3"]], 1)
+    demo = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 1)
+    contract = _Search._contract_range
+    got = []
+    for construction, inst in (("1.2", demo), ("1.3", demo),
+                               ("1.4", triangle)):
+        art = b.reduce_instance(construction, inst)
+        walked = [0]
+
+        def counted(self, lo, hi):
+            walked[0] += sum(map(len, self.free_edges[lo:hi]))
+            return contract(self, lo, hi)
+
+        with mock.patch.object(_Search, "_contract_range", counted):
+            found = b.solve_atom(art.ts, art.default_type, art.d, art.alpha)
+        got.append((art.d, found, walked[0]))
+    assert got == [(5, None, 2_214), (5, None, 24_439), (5, None, 53_484)]
+
+
 def test_shuffled_line_synth_within_budget():
     ts = shuffled_line(200, random.Random(3))
     with budget(1.0):
@@ -1341,6 +1365,104 @@ def test_prevalued_odometer_matches_the_plain_one(a3):
 @settings(max_examples=100, deadline=None)
 def test_random_prevalued_odometer_matches_the_plain_one(ts, net_type, d):
     assert_prevalued_matches_plain(ts, net_type, d)
+
+
+def reference_keep(cands, code):
+    """The interactions of cands the per-interaction rule keeps under a
+    clash code, over four classes: a source class valued 1 (code bit 0),
+    one valued 0 (bit 1), a target class valued 1 (bit 2) and one valued 0
+    (bit 3). other[v] holds the classes valued other than v."""
+    other = (0b0101, 0b1010)
+    src, tgt = code & 0b0011, code & 0b1100
+    return tuple(i for i in cands if not any(
+        v is not None and ends & other[v]
+        for v, ends in zip(engine._RULE[i], (src, tgt))))
+
+
+def test_keep_table_matches_the_interaction_rule(a3):
+    # every type, and every tuple an essp row's search can hold at a
+    # position: the type's non-nop interactions, its partials, and those
+    # of them that keep their value
+    row = next(essp_rows(a3))
+    tuples = set()
+    for size in range(1, len(INTERACTION_ORDER) + 1):
+        for net_type in map(frozenset, combinations(INTERACTION_ORDER, size)):
+            search = _Search(a3, net_type, 3, row)
+            held = (search.non_nop, search.essp_cands, search.essp_keeps)
+            assert set(search.keep) == set(held), sorted(net_type)
+            for cands in held:
+                assert search.keep[cands] == [reference_keep(cands, code)
+                                              for code in range(16)], cands
+            tuples.update(held)
+    # each subset of the seven non-nop interactions, in canonical order
+    assert len(tuples) == 2 ** 7
+
+
+class FullEdgeSearch(_Search):
+    """A search that contracts every edge of the free events, not their
+    spanning forests: the reference for the forests."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.free_edges = [self.edges_by_event[e] for e in self.free]
+
+
+def contraction_log(search):
+    """Wrap search._contract_range to log each call's range, its verdict
+    and every state's class mask after it; returns the log."""
+    contract = search._contract_range
+    log = []
+
+    def logged(lo, hi):
+        ok = contract(lo, hi)
+        masks = [search.uf_mask[search._find(s)]
+                 for s in range(search.n_states)]
+        log.append((lo, hi, ok, masks))
+        return ok
+
+    search._contract_range = logged
+    return log
+
+
+def assert_forests_match_full_edges(ts, net_type, d, ssp=True):
+    rows = [row for row in engine._AtomIndex(ts).open_rows()
+            if ssp or row[0] == engine._ESSP]
+    for row in [None, *rows]:
+        runs = []
+        for kind in (_Search, FullEdgeSearch):
+            search = kind(ts, net_type, d, row)
+            log = contraction_log(search)
+            runs.append((leaf_yields(search), log))
+        assert runs[0] == runs[1], (sorted(net_type), d, row)
+
+
+FOREST_TYPES = OVERLAP_TYPES + PREVALUE_TYPES
+
+
+def test_forests_match_full_edges():
+    meet, detour = overlap_systems()
+    inst = b.build_hs_instance(["X1", "X2"], [["X1", "X2"]], 1)
+    compiled = [b.reduce_instance(c, inst) for c in ("1.2", "1.3")]
+    for ts in (meet, detour):
+        for net_type in FOREST_TYPES:
+            for d in range(4):
+                assert_forests_match_full_edges(ts, net_type, d)
+    for art in compiled:
+        for d in range(4):
+            # their ssp rows barely prune: at d=3 they take seconds
+            assert_forests_match_full_edges(art.ts, art.default_type, d,
+                                            ssp=d < 3)
+    # detour's event a has a self-loop, 1.2 self-loops and 1.3 two-cycles:
+    # each forest drops edges there
+    for ts in (detour, *(art.ts for art in compiled)):
+        search = _Search(ts, TYPE_ALL, 1)
+        assert sum(map(len, search.free_edges)) < len(ts.edges)
+
+
+@given(small_ts(), st.sampled_from(FOREST_TYPES), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_random_forests_match_full_edges(ts, net_type, d):
+    assert_forests_match_full_edges(ts, net_type, d)
 
 
 # -- the bitmask assignment kernel against the dict/watch-list search -----------
