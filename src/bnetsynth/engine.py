@@ -32,14 +32,16 @@ atoms. An atom search takes a row: the open states j of ssp:i,j for one
 state i, or of essp:e,j for one event e (one state for solve_atom). A
 contraction is dropped with the rest of its range once every open state
 shares a class with i, or with a source of e (or a target, if every
-partial keeps its value), or a class holds states that no solver of essp
-at e can give one value. e is chosen in every subset: the search chooses
-the rest among the other events. A hypothesis dies once every open state's
-class is valued as i's is, or where e's interaction is defined. Both cuts
-hold for each open state alone, and below where they are made: classes
-only merge there, and the row only shrinks. When every candidate at e
-needs one value and gives one, e's sources and targets, and the class of
-a row in one class, are valued before the odometer starts.
+partial keeps its value), or, at the union that would make it, when a
+class would hold states that no solver of essp at e can give one value.
+e is chosen in every subset: the search chooses the rest among the other
+events. A hypothesis dies once every open state's class is valued as i's
+is, or where e's interaction is defined. Both cuts hold for each open
+state alone, and below where they are made: classes only merge there, and
+the row only shrinks. When every candidate at e needs one value and gives
+one, e's sources and targets, and the class of a row in one class, are
+valued before the odometer starts, and the positions left with one
+candidate, e's among them, lead it.
 
 solve_drts checks the canonical stream against every open atom at once
 while many searches would be needed, then runs one search per open row.
@@ -219,16 +221,15 @@ class _Search:
         # chooses from (an essp row's event is in every subset, so not among
         # them), free_edges, their forests by position, and _contract_range:
         # a contraction is ruled out when every open state of the row lies
-        # in a class that meets fatal, or some class holds one of sources
-        # and meets targets. The row holds the open states; the caller
-        # sheds those it has found. Reading every edge: the row's set-up,
-        # _assignments and may_solve.
+        # in a class that meets fatal, or at a union that would make a class
+        # meeting src_states and tgt_states. The row holds the open states;
+        # the caller sheds those it has found. Reading every edge: the row's
+        # set-up, _assignments and may_solve.
         self.forced_event: Optional[int] = None
         self.free: Sequence[int] = range(self.n_events)
         self.free_edges = forests
         self.anchor: Optional[int] = None
-        self.row = self.fatal = self.targets = 0
-        self.sources: list[int] = []
+        self.row = self.fatal = self.src_states = self.tgt_states = 0
         if row is None:
             return
         kind, i, self.row = row
@@ -252,24 +253,28 @@ class _Search:
                      for c in {self.non_nop, cand, self.essp_keeps}}
         self.rules = {c: set(map(_RULE.get, c))
                       for c in (cand, self.essp_keeps)}
-        sources = sorted({u for u, _ in e_edges})
+        sources = sum(1 << u for u in {u for u, _ in e_edges})
         targets = sum(1 << v for v in {v for _, v in e_edges})
         # A merge of a row state with a source of the event fixes sup(state)
         # at the value where sig(event) is defined, for any partial
         # candidate; if every candidate keeps that value, the target has it
         # too and target merges are just as fatal.
-        fatal = sum(1 << u for u in sources)
+        fatal = sources
         if not cand:
             # without a partial in the type nothing solves the row
             fatal = self.all_states
         elif self.essp_keeps == cand:
             fatal |= targets
-        self.fatal = fatal
-        if cand and not self.essp_keeps:
+        elif not self.essp_keeps:
             # inp/out need one value at every source of the event and give
-            # the other at every target, so a class holding a source and a
-            # target rules the whole contraction out
-            self.sources, self.targets = sources, targets
+            # the other at every target, so the union that makes a class
+            # holding a source and a target rules the contraction out; a
+            # state that is both holds them from the start, and nothing
+            # solves the row
+            self.src_states, self.tgt_states = sources, targets
+            if sources & targets:
+                fatal = self.all_states
+        self.fatal = fatal
 
     # -- union-find ---------------------------------------------------------
 
@@ -282,9 +287,13 @@ class _Search:
     def _contract_range(self, lo: int, hi: int) -> bool:
         """Merge the classes at both ends of each edge of the forests of the
         free events at positions lo..hi-1; False, perhaps with part of it
-        done, when the contraction cannot solve the row."""
+        done, when the contraction cannot solve the row. A union that would
+        make a class holding a source and a target of an inp/out row's event
+        is refused before it is made, and the rest of the range is left;
+        otherwise the row is tested once the range is contracted."""
         parent, cls, trail = self.uf_parent, self.uf_mask, self.uf_trail
         edges = self.free_edges
+        S, T = self.src_states, self.tgt_states
         for e in range(lo, hi):
             for u, v in edges[e]:
                 while parent[u] != u:  # _find, inlined for speed
@@ -293,10 +302,13 @@ class _Search:
                     v = parent[v]
                 if u == v:
                     continue
-                if cls[u].bit_count() < cls[v].bit_count():
+                a, b = cls[u], cls[v]
+                if S and (a & S and b & T or a & T and b & S):
+                    return False
+                if a.bit_count() < b.bit_count():
                     u, v = v, u
                 parent[v] = u
-                cls[u] |= cls[v]
+                cls[u] = a | b
                 trail.append((v, u))
         row = self.row
         while row:
@@ -306,15 +318,8 @@ class _Search:
             if not cls[u] & self.fatal:
                 break
             row &= ~cls[u]
-        if self.row and not row:
-            # every open state of the row shares a class with fatal
-            return False
-        for u in self.sources:
-            while parent[u] != u:
-                u = parent[u]
-            if cls[u] & self.targets:
-                return False
-        return True
+        # False when every open state of the row shares a class with fatal
+        return bool(row) or not self.row
 
     def _rollback_uf(self, mark: int) -> None:
         parent, cls, trail = self.uf_parent, self.uf_mask, self.uf_trail
@@ -452,8 +457,9 @@ class _Search:
     def _assignments(self, chosen: list[int]) -> Iterator[Candidate]:
         """The candidates of one subset, with every other event contracted,
         in canonical order; an essp row's classes that _prevalued values
-        are valued in both hypotheses before the odometer starts, and each
-        position keeps the interactions that its clash code leaves."""
+        are valued in both hypotheses before the odometer starts, each
+        position keeps the interactions that its clash code leaves, and
+        the positions left with one of them are visited first."""
         count = len(chosen)
         find = self._find
         rule = _RULE
@@ -506,6 +512,7 @@ class _Search:
         # value of dead (ssp: like the anchor), from e_pos on
         cands: list[tuple[str, ...]] = [self.non_nop] * count
         e_pos = -1
+        in_order = tuple
         R0 = O0 = 0
         dead: tuple[int, ...] = (0, row_cls) if ssp else ()
         if self.forced_event is not None:
@@ -532,6 +539,19 @@ class _Search:
             cands = [keep[c][(s & o0 > 0) | (s & o1 > 0) << 1 |
                              (t & o0 > 0) << 2 | (t & o1 > 0) << 3]
                      for c, s, t in zip(cands, src, tgt)]
+            # the positions left with one candidate lead the odometer, the
+            # others follow in their order: one candidate never varies, so
+            # the yields keep their order, and a hypothesis that dies there
+            # dies before any choice is tried. The event has one rule here,
+            # so e_pos is among them and the kill works before any choice.
+            order = sorted(range(count), key=lambda p: len(cands[p]) > 1)
+            if order != list(range(count)):
+                src, tgt, succ, cands = ([xs[p] for p in order]
+                                         for xs in (src, tgt, succ, cands))
+                e_pos = order.index(e_pos)
+                # sig back in the chosen events' order
+                in_order = itemgetter(*sorted(range(count),
+                                              key=order.__getitem__))
         if not all(cands):
             return
 
@@ -594,7 +614,7 @@ class _Search:
                 low = O & -O
                 mask |= cls[low.bit_length() - 1]
                 O ^= low
-            return mask, chosen_t, tuple(sig)
+            return mask, chosen_t, in_order(sig)
 
         # an odometer over positions: entry[p] holds each hypothesis's
         # (R, O) on reaching p, None once dead; nxt[p] indexes cands[p]

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterator, Optional
 from unittest import mock
 
@@ -696,6 +697,46 @@ def test_row_search_edges_walked_are_pinned(demo_hs):
     assert got == [(5, None, 2_214), (5, None, 24_439), (5, None, 53_484)]
 
 
+def test_row_search_unions_made_are_pinned(demo_hs):
+    # the unions made on the same queries, as the trail entries rolled back:
+    # every forest pair merges under 1.2 and 1.3, while under 1.4 a
+    # contraction stops at the union that would put a source and a target
+    # of the key event in one class, before making it
+    triangle = b.build_hs_instance(["X1", "X2", "X3"], [["X1", "X2"],
+                                   ["X2", "X3"], ["X1", "X3"]], 1)
+    demo = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 1)
+    rollback = _Search._rollback_uf
+    got = []
+    for construction, inst in (("1.2", demo), ("1.3", demo),
+                               ("1.4", triangle)):
+        art = b.reduce_instance(construction, inst)
+        undone = [0]
+
+        def counted(self, mark):
+            undone[0] += len(self.uf_trail) - mark
+            rollback(self, mark)
+
+        with mock.patch.object(_Search, "_rollback_uf", counted):
+            found = b.solve_atom(art.ts, art.default_type, art.d, art.alpha)
+        got.append((art.d, found, undone[0]))
+    assert got == [(5, None, 2_214), (5, None, 24_439), (5, None, 34_093)]
+
+
+def test_a_source_and_target_state_rules_out_the_row():
+    # detour's self-loop makes s5 a source and a target of a: under inp no
+    # union makes that class, it is there from the start. That solve_atom
+    # still finds the first solver there is checked by
+    # test_overlap_pruning_matches_the_first_solver, on every d.
+    detour = overlap_systems()[1]
+    net_type = frozenset({"nop", "inp"})
+    a = detour.events.index("a")
+    row = next(r for r in engine._AtomIndex(detour).open_rows()
+               if r[:2] == (engine._ESSP, a))
+    search = _Search(detour, net_type, 2, row)
+    assert search.src_states & search.tgt_states
+    assert search.fatal == search.all_states
+
+
 def test_shuffled_line_synth_within_budget():
     ts = shuffled_line(200, random.Random(3))
     with budget(1.0):
@@ -1350,14 +1391,26 @@ def test_prevalued_odometer_matches_the_plain_one(a3):
         results.append(prevalued(*args))
         return results[-1]
 
+    inst = b.build_hs_instance(["X1", "X2"], [["X1", "X2"]], 1)
+    art = b.reduce_instance("1.3", inst)
+    # a reordered odometer puts sig back in order with an itemgetter
     with mock.patch.object(_Search, "_prevalued", autospec=True,
-                           side_effect=record):
+                           side_effect=record), \
+            mock.patch.object(engine, "itemgetter",
+                              wraps=itemgetter) as reordered:
         for ts in (a3, diamond(), *overlap_systems()):
             for net_type in PREVALUE_TYPES:
                 for d in range(min(len(ts.events), 3) + 1):
                     assert_prevalued_matches_plain(ts, net_type, d)
+        # the compiled 1.3 leaves positions with one candidate after
+        # others; at d=3 it takes seconds
+        for d in range(3):
+            assert_prevalued_matches_plain(art.ts, art.default_type, d)
     # every outcome of the step is taken: nothing, classes, no solver
     assert {(0, 0), None} < set(results)
+    # and some leaf was reordered: its positions moved, not just the same
+    assert any(sorted(c.args) == list(range(len(c.args))) != list(c.args)
+               for c in reordered.call_args_list)
 
 
 @given(small_ts(max_states=6, max_events=4), st.sampled_from(PREVALUE_TYPES),
@@ -1463,6 +1516,91 @@ def test_forests_match_full_edges():
 @settings(max_examples=100, deadline=None)
 def test_random_forests_match_full_edges(ts, net_type, d):
     assert_forests_match_full_edges(ts, net_type, d)
+
+
+class ScanSearch(_Search):
+    """A search that refuses a class holding a source and a target of an
+    inp/out row's event only once the whole range is contracted, by a scan
+    of the event's sources: the reference for the refusal at the union."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sources = [u for u in range(self.n_states)
+                        if self.src_states >> u & 1]
+        self.targets = self.tgt_states
+        if self.src_states & self.tgt_states:
+            # a state both: the scan refuses every contraction
+            self.fatal = self.src_states
+        self.src_states = self.tgt_states = 0
+
+    def _contract_range(self, lo, hi):
+        return super()._contract_range(lo, hi) and not any(
+            self.uf_mask[self._find(u)] & self.targets for u in self.sources)
+
+
+class ReadLog(list):
+    """A list that keeps the last index read from it."""
+
+    last = None
+
+    def __getitem__(self, i):
+        self.last = i
+        return list.__getitem__(self, i)
+
+
+def assert_union_refusal_matches_the_scan(ts, net_type, d, early,
+                                          parts=True):
+    """The stream and each essp row, or with parts False only the whole
+    rows, against ScanSearch: the same leaves, the same verdicts, and the
+    same classes after each accepted contraction. A refused contraction
+    that read no forest past one before the last of its range is appended
+    to early."""
+    rows = essp_rows(ts) if parts else (
+        row for row in engine._AtomIndex(ts).open_rows()
+        if row[0] == engine._ESSP)
+    for row in [None, *rows]:
+        runs = []
+        for kind in (_Search, ScanSearch):
+            search = kind(ts, net_type, d, row)
+            search.free_edges = forests = ReadLog(search.free_edges)
+            log = contraction_log(search)
+            contract = search._contract_range
+
+            def checked(lo, hi):
+                ok = contract(lo, hi)
+                if not ok and forests.last < hi - 1:
+                    early.append((lo, hi))
+                return ok
+
+            search._contract_range = checked
+            yields = leaf_yields(search)
+            # a refused call may leave part of its range uncontracted
+            runs.append((yields, [(lo, hi, ok, ok and masks)
+                                  for lo, hi, ok, masks in log]))
+        assert runs[0] == runs[1], (sorted(net_type), d, row)
+
+
+def test_union_refusal_matches_the_scan():
+    inst = b.build_hs_instance(["X1", "X2"], [["X1", "X2"]], 1)
+    early = []
+    for ts in overlap_systems():
+        for net_type in OVERLAP_TYPES:
+            for d in range(4):
+                assert_union_refusal_matches_the_scan(ts, net_type, d, early)
+    for construction in ("1.1", "1.4"):
+        art = b.reduce_instance(construction, inst)
+        for d in range(4):
+            # hundreds of one-state rows: whole rows only
+            assert_union_refusal_matches_the_scan(art.ts, art.default_type,
+                                                  d, early, parts=False)
+    # some contraction is refused before it reads its range's last forest
+    assert early
+
+
+@given(small_ts(), st.sampled_from(OVERLAP_TYPES), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_random_union_refusal_matches_the_scan(ts, net_type, d):
+    assert_union_refusal_matches_the_scan(ts, net_type, d, [])
 
 
 # -- the bitmask assignment kernel against the dict/watch-list search -----------
