@@ -52,9 +52,11 @@ interaction, and s outside every class holding a source of e, since the
 interaction is defined at that source's value and its class shares it.
 The outcome keeps each solver as the search yields it, with the row hits
 it claimed, shrunk or not: a Region or an atom object is built only when
-a caller reads one. The counters come from the answer alone, never from
-the path that found it: candidates_examined is the answer's rank, and
-valid_regions the number of solving regions found.
+a caller reads one, and its net checks each solver in that form with the
+edge check of regions.py, the one validate_region runs. The counters come
+from the answer alone, never from the path that found it:
+candidates_examined is the answer's rank, and valid_regions the number of
+solving regions found.
 """
 
 from __future__ import annotations
@@ -69,10 +71,10 @@ from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import interactions
-from .interactions import INTERACTION_ORDER, PARTIAL, apply as apply_i
+from .interactions import INTERACTION_ORDER, PARTIAL
 from .nets import BooleanNet, InvalidNet, build_net, reachability_graph
-from .regions import (Edge, Region, _check_signature, solves_essp, solves_ssp,
-                      validate_region)
+from .regions import (Candidate, Edge, Region, _EdgeCheck, solves_essp,
+                      solves_ssp)
 # enumerate_atoms is not called here, but stays a name of this module:
 # perfbench/spans.py wraps engine.enumerate_atoms in its traced runs
 from .ts import (EsspAtom, SeparationAtom, SspAtom, TransitionSystem,
@@ -106,31 +108,8 @@ class EnumerationStats:
     elapsed: float = 0.0
 
 
-# A region as the search yields it: the support as a bitmask over state
-# indices, the chosen event indices ascending, and their interactions.
-Candidate = tuple[int, tuple[int, ...], tuple[str, ...]]
-
-
-@dataclass
-class SynthesisOutcome:
-    """A verdict with its admissible regions, each atom's witness among
-    them, and the atoms left unsolved, all in canonical order.
-
-    solve_drts returns one whose three lists are built on first access.
-    """
-    solvable: bool
-    admissible_set: list[Region]
-    witness_map: dict[SeparationAtom, int]
-    unsolved_atoms: list[SeparationAtom]
-    stats: EnumerationStats
-
-
-# each interaction's values at 0 and at 1, None where it is undefined
-_AT = {i: (apply_i(i, 0), apply_i(i, 1)) for i in INTERACTION_ORDER}
-
-
 def _rule(i: str) -> tuple[Optional[int], Optional[int]]:
-    at = _AT[i]
+    at = interactions._TABLE[i]
     gives = set(at) - {None}
     return (at.index(None) ^ 1 if None in at else None,
             gives.pop() if len(gives) == 1 else None)
@@ -478,6 +457,7 @@ class _Search:
         tgt: list[int] = []
         succ: list[dict[int, int]] = []
         parent = self.uf_parent
+        swap = "swap" in self.non_nop  # only a swap position reads succ
         for j in chosen:
             m: dict[int, int] = {}
             s = t = 0
@@ -487,7 +467,8 @@ class _Search:
                 while parent[v] != v:
                     v = parent[v]
                 bu, bv = 1 << u, 1 << v
-                m[bu] = m.get(bu, 0) | bv
+                if swap:
+                    m[bu] = m.get(bu, 0) | bv
                 s |= bu
                 t |= bv
             src.append(s)
@@ -955,19 +936,21 @@ def solve_drts(
         solvers = [solvers[r] for r in picked]
         solved = [index.take(cand) for cand in solvers]
     stats.elapsed = time.monotonic() - t0
-    return _CompactOutcome(ts, net_type, search, index, solvers, solved,
-                           stats, shrunk)
+    return SynthesisOutcome(ts, net_type, search, index, solvers, solved,
+                            stats, shrunk)
 
 
-class _CompactOutcome(SynthesisOutcome):
-    """solve_drts's outcome in the search's bit form.
+class SynthesisOutcome:
+    """A verdict with its admissible regions, each atom's witness among
+    them, and the atoms left unsolved, all in canonical order.
 
-    It keeps the solvers as candidates, solved[r] the row hits solver r
-    claimed, and the index they were claimed from, whose rows hold the
-    atoms left open. The three lists of a SynthesisOutcome are built from
-    these on first access, with the values, the order and the types
-    solve_drts has always returned. forms(), net() and index.open_text()
-    give the CLI's outputs from these directly.
+    solve_drts returns one in the search's bit form: the solvers as
+    candidates, solved[r] the row hits solver r claimed, and the index they
+    were claimed from, whose rows hold the atoms left open. solvable and
+    stats are set at once; admissible_set (a list of Regions), witness_map
+    (each atom to the index of its witness) and unsolved_atoms are built
+    from the bit form on first access. forms(), net() and
+    index.open_text() give the CLI's outputs from it directly.
     """
 
     def __init__(self, ts: TransitionSystem, net_type: frozenset[str],
@@ -1045,68 +1028,6 @@ def _greedy_shrink(covers: list[int]) -> list[int]:
     return picked
 
 
-def _broken(i: str, src: int, dst: int) -> int:
-    """The edges interaction i does not respect, as bits over edges, given
-    the support at each edge's source (src) and at its target (dst)."""
-    bad = 0
-    for at, side in zip(_AT[i], (~src, src)):
-        bad |= side & (-1 if at is None else ~dst if at else dst)
-    return bad
-
-
-class _EdgeCheck:
-    """validate_region on a candidate, without its Region: the same
-    verdict, the same first bad edge in ts.edges order, and the same
-    InvalidRegion for an interaction outside the type.
-
-    A candidate's support bits are gathered at the edges' sources and at
-    their targets into two ints, edge k of ts.edges at bit k; each event's
-    edges are a mask over the same bits.
-    """
-
-    def __init__(self, ts: TransitionSystem, net_type: frozenset[str]):
-        self.ts = ts
-        self.net_type = net_type
-        self.allowed = net_type & frozenset(INTERACTION_ORDER)
-        n = len(ts.states)
-        sidx = {s: i for i, s in enumerate(ts.states)}
-        eidx = {e: i for i, e in enumerate(ts.events)}
-        # The gathers read a string whose char j is state j's support and
-        # whose char n is "1". They take char n, then the edges from the
-        # last to the first, so the digits read as a binary number put
-        # edge k at bit k, and a 1 above the edges that no edge mask keeps.
-        self.at_srcs = itemgetter(n, *(sidx[u] for u, _, _ in
-                                       reversed(ts.edges)))
-        self.at_dsts = itemgetter(n, *(sidx[v] for _, _, v in
-                                       reversed(ts.edges)))
-        self.by_event = [0] * len(ts.events)
-        for k, (_, e, _) in enumerate(ts.edges):
-            self.by_event[eidx[e]] |= 1 << k
-        self.every_edge = (1 << len(ts.edges)) - 1
-        self.top = 1 << n
-
-    def first_bad_edge(self, cand: Candidate) -> Optional[Edge]:
-        mask, chosen, sigs = cand
-        events = self.ts.events
-        if not (self.allowed.issuperset(sigs) and
-                ("nop" in self.allowed or len(chosen) == len(events))):
-            # some interaction is unknown or outside the type: raise the
-            # error validate_region raises on the Region
-            signature = dict.fromkeys(events, "nop")
-            signature.update((events[j], i) for j, i in zip(chosen, sigs))
-            _check_signature(self.ts, self.net_type, signature)
-        bits = bin(mask | self.top)[:1:-1]
-        src = int("".join(self.at_srcs(bits)), 2)
-        dst = int("".join(self.at_dsts(bits)), 2)
-        nop, bad = self.every_edge, 0
-        for j, i in zip(chosen, sigs):
-            edges = self.by_event[j]
-            nop &= ~edges
-            bad |= edges & _broken(i, src, dst)
-        bad |= nop & _broken("nop", src, dst)
-        return self.ts.edges[(bad & -bad).bit_length() - 1] if bad else None
-
-
 def _net(ts: TransitionSystem, net_type: frozenset[str],
          places: Iterable[tuple[Optional[Edge], int,
                                 Iterable[tuple[str, str]]]]) -> BooleanNet:
@@ -1135,12 +1056,11 @@ def synthesize_net(
     net_type: frozenset[str],
 ) -> BooleanNet:
     """One place per region (p0, p1, ... in list order), flow = signatures."""
-    def places():
-        for region in regions:
-            _, bad = validate_region(ts, net_type, region)
-            yield (bad, region.support[ts.initial],
-                   ((e, region.signature[e]) for e in ts.events))
-    return _net(ts, net_type, places())
+    check = _EdgeCheck(ts, net_type)
+    return _net(ts, net_type,
+                ((check.validate(region), region.support[ts.initial],
+                  ((e, region.signature[e]) for e in ts.events))
+                 for region in regions))
 
 
 def verify_lemma1(ts: TransitionSystem, net: BooleanNet) -> bool:

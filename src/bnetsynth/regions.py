@@ -4,19 +4,28 @@ A region assigns a support bit to every state and an interaction to every
 event such that every edge of the TS is consistent under apply(). A region
 is determined by its support at the initial state plus the signature (the
 implicit form); the explicit support follows along any spanning tree.
+
+One edge check runs on bits: validate_region, expand_region and
+synthesize_net read a region into the search's candidate form for it, and
+the synthesis outcome gives it its candidates as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from . import interactions, lineio
-from .interactions import apply as apply_i
+from .interactions import INTERACTION_ORDER, _TABLE, apply as apply_i
 from .lineio import ParseError
 from .ts import SpanningTree, TransitionSystem
 
 Edge = tuple[str, str, str]
+
+# A region as the search yields it: the support as a bitmask over state
+# indices, the chosen event indices ascending, and their interactions.
+Candidate = tuple[int, tuple[int, ...], tuple[str, ...]]
 
 
 class InvalidRegion(ValueError):
@@ -68,17 +77,88 @@ def _check_signature(
             raise InvalidRegion(f"signature maps {e!r} to {i!r} outside the net type")
 
 
-def _first_bad_edge(
-    ts: TransitionSystem,
-    support: Mapping[str, int],
-    sig: Mapping[str, str],
-) -> Optional[Edge]:
-    """First edge in canonical order that the region does not respect."""
-    for src, event, dst in ts.edges:
-        v = apply_i(sig[event], support[src])
-        if v is None or v != support[dst]:
-            return (src, event, dst)
-    return None
+def _broken(i: str, src: int, dst: int) -> int:
+    """The edges interaction i does not respect, as bits over edges, given
+    the support at each edge's source (src) and at its target (dst)."""
+    bad = 0
+    for at, side in zip(_TABLE[i], (~src, src)):
+        bad |= side & (-1 if at is None else ~dst if at else dst)
+    return bad
+
+
+def _candidate(ts: TransitionSystem, support: Mapping[str, int],
+               sig: Mapping[str, str]) -> Candidate:
+    """A support total over the states and a signature total over the
+    events, in the search's bit form."""
+    mask = sum(1 << k for k, s in enumerate(ts.states) if support[s])
+    chosen = tuple(j for j, e in enumerate(ts.events) if sig[e] != "nop")
+    return mask, chosen, tuple(sig[ts.events[j]] for j in chosen)
+
+
+class _EdgeCheck:
+    """The one edge check: the first edge, in ts.edges order, that a region
+    does not respect, worked out on its candidate form (_candidate).
+
+    A candidate's support bits are gathered at the edges' sources and at
+    their targets into two ints, edge k of ts.edges at bit k; each event's
+    edges are a mask over the same bits.
+    """
+
+    def __init__(self, ts: TransitionSystem, net_type: frozenset[str]):
+        self.ts = ts
+        self.net_type = net_type
+        self.allowed = net_type & frozenset(INTERACTION_ORDER)
+        n = len(ts.states)
+        sidx = {s: i for i, s in enumerate(ts.states)}
+        eidx = {e: i for i, e in enumerate(ts.events)}
+        # The gathers read a string whose char j is state j's support and
+        # whose char n is "1". They take char n, then the edges from the
+        # last to the first, so the digits read as a binary number put
+        # edge k at bit k, and a 1 above the edges that no edge mask keeps.
+        self.at_srcs = itemgetter(n, *(sidx[u] for u, _, _ in
+                                       reversed(ts.edges)))
+        self.at_dsts = itemgetter(n, *(sidx[v] for _, _, v in
+                                       reversed(ts.edges)))
+        self.by_event = [0] * len(ts.events)
+        for k, (_, e, _) in enumerate(ts.edges):
+            self.by_event[eidx[e]] |= 1 << k
+        self.every_edge = (1 << len(ts.edges)) - 1
+        self.top = 1 << n
+
+    def first_bad_edge(self, cand: Candidate) -> Optional[Edge]:
+        """The candidate's first bad edge or None; InvalidRegion for an
+        interaction that is unknown or outside the type."""
+        mask, chosen, sigs = cand
+        events = self.ts.events
+        if not (self.allowed.issuperset(sigs) and
+                ("nop" in self.allowed or len(chosen) == len(events))):
+            # some interaction is unknown or outside the type: raise the
+            # error _check_signature raises on the whole signature
+            signature = dict.fromkeys(events, "nop")
+            signature.update((events[j], i) for j, i in zip(chosen, sigs))
+            _check_signature(self.ts, self.net_type, signature)
+        bits = bin(mask | self.top)[:1:-1]
+        src = int("".join(self.at_srcs(bits)), 2)
+        dst = int("".join(self.at_dsts(bits)), 2)
+        nop, bad = self.every_edge, 0
+        for j, i in zip(chosen, sigs):
+            edges = self.by_event[j]
+            nop &= ~edges
+            bad |= edges & _broken(i, src, dst)
+        bad |= nop & _broken("nop", src, dst)
+        return self.ts.edges[(bad & -bad).bit_length() - 1] if bad else None
+
+    def validate(self, region: Region) -> Optional[Edge]:
+        """validate_region's first bad edge, or its InvalidRegion."""
+        for s in self.ts.states:
+            if s not in region.support:
+                raise InvalidRegion(f"support missing state {s!r}")
+            if region.support[s] not in (0, 1):
+                raise InvalidRegion(
+                    f"support maps {s!r} to {region.support[s]!r}, not 0 or 1")
+        _check_signature(self.ts, self.net_type, region.signature)
+        return self.first_bad_edge(
+            _candidate(self.ts, region.support, region.signature))
 
 
 def expand_region(
@@ -124,7 +204,8 @@ def diagnose_expansion(
         if v is None:
             return None, (parent, event, state)
         support[state] = v
-    bad = _first_bad_edge(ts, support, sig)
+    bad = _EdgeCheck(ts, net_type).first_bad_edge(
+        _candidate(ts, support, sig))
     if bad is not None:
         return None, bad
     return Region(support=support, signature=dict(sig)), None
@@ -142,14 +223,7 @@ def validate_region(
     support is not a 0/1 map over every state, or its signature is not a
     total map from the TS's events into the net type.
     """
-    for s in ts.states:
-        if s not in region.support:
-            raise InvalidRegion(f"support missing state {s!r}")
-        if region.support[s] not in (0, 1):
-            raise InvalidRegion(
-                f"support maps {s!r} to {region.support[s]!r}, not 0 or 1")
-    _check_signature(ts, net_type, region.signature)
-    bad = _first_bad_edge(ts, region.support, region.signature)
+    bad = _EdgeCheck(ts, net_type).validate(region)
     return bad is None, bad
 
 

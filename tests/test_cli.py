@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -398,10 +399,13 @@ def test_demo_t12_synth_within_budget(files, capsys, demo_hs, kappa):
         assert f"unsolved {art.alpha}\n" in out
 
 
-def line_ts(n):
-    """A line of n states, its events in canonical order."""
+def line_ts(n, rng=None):
+    """A line of n states, its events in canonical order, or shuffled by
+    rng."""
     states = [f"s{i:02}" for i in range(n)]
     events = [f"e{i:02}" for i in range(n - 1)]
+    if rng is not None:
+        rng.shuffle(events)
     return b.build_ts(states, events, [(states[i], e, states[i + 1])
                                        for i, e in enumerate(events)],
                       states[0])
@@ -459,6 +463,40 @@ def test_synth_writes_from_the_bit_form(files, capsys, monkeypatch, case,
     assert Path(wit).read_text(encoding="utf-8") == "\n".join(
         f"# region {idx}\n" + render_region_of(region, ts)
         for idx, region in enumerate(outcome.admissible_set))
+
+
+@pytest.mark.parametrize("case", ["shuffled-line", "c06-yes"])
+def test_synth_witnesses_pass_check_region(files, capsys, case):
+    # each region synth writes passes check-region on its own. With its
+    # .supinit flipped, a region of the line breaks at its first non-nop
+    # edge, as every interaction of the type is partial; a region of set
+    # alone on the compiled system may still hold
+    put, tmp = files
+    ts, net_type, d = ((line_ts(14, random.Random(7)),
+                        frozenset({"nop", "inp", "out"}), 2)
+                       if case == "shuffled-line" else c06_yes())
+    path, wit = put("in.ts", b.render_ts(ts)), str(tmp / "out.wit")
+    net_type = b.format_type(net_type)
+    assert run("synth", "--ts", path, "--type", net_type, "--d", str(d),
+               "--net", str(tmp / "out.net"), "--witnesses", wit) == 0
+    blocks = Path(wit).read_text(encoding="utf-8").split("# region ")[1:]
+    assert len(blocks) > 1
+
+    def check(text):
+        capsys.readouterr()
+        code = run("check-region", "--ts", path, "--type", net_type,
+                   "--region", put("check.region", text))
+        assert code in (0, 1), capsys.readouterr().err
+        return code
+
+    flipped_codes = set()
+    for block in blocks:
+        region = block.split("\n", 1)[1]
+        assert check(region) == 0, region
+        bit = re.search(r"\.supinit (\d)", region)
+        flipped_codes.add(check(region[:bit.start(1)] + str(1 - int(bit[1]))
+                                + region[bit.end(1):]))
+    assert flipped_codes == ({1} if case == "shuffled-line" else {0, 1})
 
 
 @pytest.mark.parametrize("shrink", [False, True])

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, product
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterator, Optional
 from unittest import mock
 
@@ -14,6 +15,7 @@ from bnetsynth.engine import Candidate, _Search
 from bnetsynth.interactions import (INTERACTION_ORDER, PARTIAL, apply,
                                     non_nop)
 from bnetsynth.reductions import CONSTRUCTIONS
+from bnetsynth.regions import _check_signature, diagnose_expansion
 from bnetsynth.ts import EsspAtom, SspAtom
 from conftest import (TYPE_0, TYPE_1, brute_force_candidates,
                       brute_force_regions, budget)
@@ -477,9 +479,10 @@ def assert_matches_atom_major(ts, net_type, d, shrink):
     admissible, witness, unsolved, stats, found = atom_major_drts(
         ts, net_type, d, shrink)
     # valid_regions counts the solvers found, taken before the shrink
-    want = outcome_fields(b.SynthesisOutcome(
-        not unsolved, admissible, witness, unsolved,
-        b.EnumerationStats(stats.candidates_examined, found)))
+    want = outcome_fields(SimpleNamespace(
+        solvable=not unsolved, admissible_set=admissible, witness_map=witness,
+        unsolved_atoms=unsolved,
+        stats=b.EnumerationStats(stats.candidates_examined, found)))
     for limit in SEARCH_LIMITS:
         with search_limit(limit):
             outcome = b.solve_drts(ts, net_type, d, shrink=shrink)
@@ -880,24 +883,85 @@ def test_random_atom_rows_match_the_atom_list(ts):
     assert_rows_match_the_atom_list(ts)
 
 
-def first_bad_edge_or_error(check, *args):
-    """check's first bad edge, or the InvalidRegion message it raised."""
+def first_bad_edge_loop(ts, support, sig):
+    """The first edge in ts.edges order that a region does not respect: the
+    plain loop over the edges that regions._EdgeCheck does in bit form."""
+    for src, event, dst in ts.edges:
+        v = apply(sig[event], support[src])
+        if v is None or v != support[dst]:
+            return (src, event, dst)
+    return None
+
+
+def expansion_by_loop(ts, net_type, sup_initial, sig, tree):
+    """diagnose_expansion with the loop: the support propagated along the
+    tree, or the edge it broke at, then the loop's first bad edge."""
+    _check_signature(ts, net_type, sig)
+    support = {tree.root: sup_initial}
+    for state in tree.order[1:]:
+        parent, event = tree.parent[state]
+        v = apply(sig[event], support[parent])
+        if v is None:
+            return None, (parent, event, state)
+        support[state] = v
+    bad = first_bad_edge_loop(ts, support, sig)
+    return (None, bad) if bad else (list(support.items()), None)
+
+
+def or_error(check, *args):
+    """check(*args), or the message of the ValueError it raised, an
+    InvalidRegion included."""
     try:
         return check(*args)
-    except b.InvalidRegion as exc:
-        return f"InvalidRegion: {exc}"
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-def assert_edge_check_matches_validate_region(ts, net_type, cands):
+def assert_edge_check_matches_the_loop(ts, net_type, cands):
+    """validate_region, diagnose_expansion, synthesize_net and outcome.net()
+    all give the loop's verdict, first bad edge and InvalidRegion message."""
     search = _Search(ts, net_type, 0)
-    check = engine._EdgeCheck(ts, net_type)
+    tree = b.spanning_tree(ts)
     seen = set()
     for cand in cands:
-        want = first_bad_edge_or_error(
-            lambda: b.validate_region(ts, net_type, search.region(cand))[1])
-        assert first_bad_edge_or_error(check.first_bad_edge, cand) == want, \
-            cand
+        region = search.region(cand)
+
+        def by_loop():
+            _check_signature(ts, net_type, region.signature)
+            return first_bad_edge_loop(ts, region.support, region.signature)
+        want = or_error(by_loop)
+        assert or_error(
+            lambda: b.validate_region(ts, net_type, region)[1]) == want, cand
         seen.add(type(want))
+        # the region alone as a net: built, or refused at its bad edge
+        bit = cand[0] >> search.init_idx & 1
+        if want is None:
+            net = b.render_net(b.build_net(
+                ["p0"], ts.events, net_type,
+                {("p0", e): i for e, i in region.signature.items()
+                 if i != "nop"}, {"p0": bit}))
+        elif isinstance(want, tuple):
+            net = ("ValueError: region 0 does not validate "
+                   f"(first bad edge {want})")
+        else:
+            net = want
+        outcome = engine.SynthesisOutcome(
+            ts, net_type, search, engine._AtomIndex(ts), [cand], [[]],
+            b.EnumerationStats(), False)
+        for build in (outcome.net,
+                      lambda: b.synthesize_net(ts, [region], net_type)):
+            got = or_error(build)
+            assert (got if isinstance(got, str) else b.render_net(got)) == \
+                net, cand
+        # the same signature expanded from the candidate's initial bit
+        got = or_error(diagnose_expansion, ts, net_type, bit,
+                       region.signature, tree)
+        if not isinstance(got, str):
+            region_got, bad = got
+            got = (None if region_got is None
+                   else list(region_got.support.items()), bad)
+        assert got == or_error(expansion_by_loop, ts, net_type, bit,
+                               region.signature, tree), cand
     return seen
 
 
@@ -912,7 +976,7 @@ def test_edge_check_matches_validate_region(a1, a2, a3):
     for ts in (a1, a2, a3, diamond()):
         valid = list(_Search(ts, TYPE_ALL, len(ts.events)).stream())
         for net_type in (TYPE_1, TYPE_0, TYPE_ALL, TYPE_ALL - {"nop"}):
-            seen |= assert_edge_check_matches_validate_region(
+            seen |= assert_edge_check_matches_the_loop(
                 ts, net_type, valid + flipped(valid, len(ts.states)))
     # valid regions, bad edges and signatures outside the type all occur
     assert seen == {type(None), tuple, str}
@@ -935,7 +999,7 @@ def candidate_of(draw, ts):
 def test_random_edge_check_matches_validate_region(data, ts, net_type):
     valid = list(_Search(ts, TYPE_ALL, 2).stream())
     drawn = [data.draw(candidate_of(ts)) for _ in range(5)]
-    assert_edge_check_matches_validate_region(
+    assert_edge_check_matches_the_loop(
         ts, net_type, valid + flipped(valid, len(ts.states)) + drawn)
 
 
