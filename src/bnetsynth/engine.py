@@ -34,11 +34,12 @@ contraction is dropped with the rest of its range once every open state
 shares a class with i, or with a source of e (or a target, if every
 partial keeps its value), or, at the union that would make it, when a
 class would hold states that no solver of essp at e can give one value.
-e is chosen in every subset: the search chooses the rest among the other
-events. A hypothesis dies once every open state's class is valued as i's
-is, or where e's interaction is defined. Both cuts hold for each open
-state alone, and below where they are made: classes only merge there, and
-the row only shrinks. When every candidate at e needs one value and gives
+So an event whose contraction alone is dropped is chosen in every subset,
+as e is: the search chooses the rest among the other events. A
+hypothesis dies once every open state's class is valued as i's is, or
+where e's interaction is defined. These cuts hold for each open state
+alone, and below where they are made: classes only merge there, and the
+row only shrinks. When every candidate at e needs one value and gives
 one, e's sources and targets, and the class of a row in one class, are
 valued before the odometer starts, and the positions left with one
 candidate, e's among them, lead it.
@@ -62,6 +63,7 @@ solving regions found.
 from __future__ import annotations
 
 import time
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
@@ -175,38 +177,59 @@ class _Search:
         self.nop_signature = dict.fromkeys(self.events, "nop")
         self.all_states = (1 << self.n_states) - 1
 
+        # each event's spanning forest: the root pairs its edges merge when
+        # they alone are contracted, which is also the trail to undo them;
+        # ends[e] holds the states of its pairs, those its edges join to
+        # another state (each was its own root when first merged)
+        parent = list(range(self.n_states))
+        self.forests: list[list[tuple[int, int]]] = []
+        self.ends: list[int] = []
+        for edges in self.edges_by_event:
+            forest = []
+            ends = 0
+            for u, v in edges:
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u != v:
+                    parent[v] = u
+                    forest.append((u, v))
+                    ends |= 1 << u | 1 << v
+            for _, v in forest:
+                parent[v] = v
+            self.forests.append(forest)
+            self.ends.append(ends)
+        self._set_row(row)
+
+    def row_search(self, row: _Hit) -> _Search:
+        """A search of one row over this search's TS, type and bound, sharing
+        the tables built from them."""
+        search = copy(self)
+        search._set_row(row)
+        return search
+
+    def _set_row(self, row: Optional[_Hit]) -> None:
+        """Aim the search at a row, or at the stream with None, on a fresh
+        union-find."""
         # rollback union-find (union by size, no path compression);
         # uf_mask[root] is the bitmask of the states in root's class
         self.uf_parent = list(range(self.n_states))
         self.uf_mask = [1 << s for s in range(self.n_states)]
         self.uf_trail: list[tuple[int, int]] = []
 
-        # each event's spanning forest: the root pairs its edges merge when
-        # they alone are contracted, which is also the trail to undo them
-        parent = self.uf_parent
-        forests = []
-        for edges in self.edges_by_event:
-            forest = []
-            for u, v in edges:
-                u, v = self._find(u), self._find(v)
-                if u != v:
-                    parent[v] = u
-                    forest.append((u, v))
-            for _, v in forest:
-                parent[v] = v
-            forests.append(forest)
-
-        # The row acts on the subset search through free, the events it
-        # chooses from (an essp row's event is in every subset, so not among
-        # them), free_edges, their forests by position, and _contract_range:
-        # a contraction is ruled out when every open state of the row lies
-        # in a class that meets fatal, or at a union that would make a class
+        # The row acts on the subset search through forced, the events in
+        # every subset that can solve it, free, the events it chooses from,
+        # free_edges, their forests by position, and _contract_range: a
+        # contraction is ruled out when every open state of the row lies in
+        # a class that meets fatal, or at a union that would make a class
         # meeting src_states and tgt_states. The row holds the open states;
         # the caller sheds those it has found. Reading every edge: the row's
         # set-up, _assignments and may_solve.
         self.forced_event: Optional[int] = None
+        self.forced: list[int] = []
         self.free: Sequence[int] = range(self.n_events)
-        self.free_edges = forests
+        self.free_edges = self.forests
         self.anchor: Optional[int] = None
         self.row = self.fatal = self.src_states = self.tgt_states = 0
         if row is None:
@@ -216,44 +239,65 @@ class _Search:
             # ssp:i,j: a class holding i and j gives them one value
             self.anchor = i
             self.fatal = 1 << i
-            return
-        self.forced_event = i
-        self.free = [e for e in self.free if e != i]
-        self.free_edges = [forests[e] for e in self.free]
-        e_edges = self.edges_by_event[i]
-        self.essp_cands = cand = self.partials
-        # the partials that give the value they need (used/free), the only
-        # ones a class holding a source and a target of the event leaves
-        self.essp_keeps = tuple(c for c in cand if _RULE[c][0] == _RULE[c][1])
-        # each tuple a position can hold, kept by clash code (bit v: some
-        # source class is valued other than v, bit 2 + v: a target class);
-        # and the rules of each tuple the event can hold
-        self.keep = {c: [tuple(filter(f.__contains__, c)) for f in _FITS]
-                     for c in {self.non_nop, cand, self.essp_keeps}}
-        self.rules = {c: set(map(_RULE.get, c))
-                      for c in (cand, self.essp_keeps)}
-        sources = sum(1 << u for u in {u for u, _ in e_edges})
-        targets = sum(1 << v for v in {v for _, v in e_edges})
-        # A merge of a row state with a source of the event fixes sup(state)
-        # at the value where sig(event) is defined, for any partial
-        # candidate; if every candidate keeps that value, the target has it
-        # too and target merges are just as fatal.
-        fatal = sources
-        if not cand:
-            # without a partial in the type nothing solves the row
-            fatal = self.all_states
-        elif self.essp_keeps == cand:
-            fatal |= targets
-        elif not self.essp_keeps:
-            # inp/out need one value at every source of the event and give
-            # the other at every target, so the union that makes a class
-            # holding a source and a target rules the contraction out; a
-            # state that is both holds them from the start, and nothing
-            # solves the row
-            self.src_states, self.tgt_states = sources, targets
-            if sources & targets:
+        else:
+            self.forced_event = i
+            e_edges = self.edges_by_event[i]
+            self.essp_cands = cand = self.partials
+            # the partials that give the value they need (used/free), the
+            # only ones a class holding a source and a target of the event
+            # leaves
+            self.essp_keeps = tuple(c for c in cand
+                                    if _RULE[c][0] == _RULE[c][1])
+            # each tuple a position can hold, kept by clash code (bit v:
+            # some source class is valued other than v, bit 2 + v: a target
+            # class); and the rules of each tuple the event can hold
+            self.keep = {c: [tuple(filter(f.__contains__, c)) for f in _FITS]
+                         for c in {self.non_nop, cand, self.essp_keeps}}
+            self.rules = {c: set(map(_RULE.get, c))
+                          for c in (cand, self.essp_keeps)}
+            sources = sum(1 << u for u in {u for u, _ in e_edges})
+            targets = sum(1 << v for v in {v for _, v in e_edges})
+            # A merge of a row state with a source of the event fixes
+            # sup(state) at the value where sig(event) is defined, for any
+            # partial candidate; if every candidate keeps that value, the
+            # target has it too and target merges are just as fatal.
+            fatal = sources
+            if not cand:
+                # without a partial in the type nothing solves the row
                 fatal = self.all_states
-        self.fatal = fatal
+            elif self.essp_keeps == cand:
+                fatal |= targets
+            elif not self.essp_keeps:
+                # inp/out need one value at every source of the event and
+                # give the other at every target, so the union that makes a
+                # class holding a source and a target rules the contraction
+                # out; a state that is both holds them from the start, and
+                # nothing solves the row
+                self.src_states, self.tgt_states = sources, targets
+                if sources & targets:
+                    fatal = self.all_states
+            self.fatal = fatal
+        # An event whose forest alone is refused, by the row or at a union,
+        # is refused in every contraction that holds it, since classes only
+        # merge: every subset that can solve the row chooses it, as an essp
+        # row's own event. Both refusals hold as the row shrinks. Only an
+        # event with an edge at the lowest open state outside fatal can be
+        # refused by the row (any, if there is none), and only one with edges
+        # at a source and a target of the row's event at a union.
+        low = self.row & ~self.fatal
+        low &= -low
+        S, T = self.src_states, self.tgt_states
+        forced = set() if self.forced_event is None else {self.forced_event}
+        for e, ends in enumerate(self.ends):
+            if e in forced or low and not ends & low and not (
+                    ends & S and ends & T):
+                continue
+            if not self._contract_range(e, e + 1):
+                forced.add(e)
+            self._rollback_uf(0)
+        self.forced = sorted(forced)
+        self.free = [e for e in self.free if e not in forced]
+        self.free_edges = [self.forests[e] for e in self.free]
 
     # -- union-find ---------------------------------------------------------
 
@@ -350,11 +394,11 @@ class _Search:
                     ) -> Iterator[Candidate]:
         """The subsets of count events in lexicographic order, each reaching
         _assignments with every other event contracted, unless
-        index.may_solve rules it out. An essp row's event is in every
-        subset that can solve the row: the search chooses the other
-        count - 1 among the free events, and the row's event joins each
-        leaf. Dropping an element that every subset holds keeps subsets of
-        one size in lexicographic order.
+        index.may_solve rules it out. A row's forced events, an essp row's
+        own among them, are in every subset that can solve the row: the
+        search chooses the other count - len(forced) among the free events,
+        and the forced events join each leaf. Dropping elements that every
+        subset holds keeps subsets of one size in lexicographic order.
 
         One stack of ranges over the free events' positions: a frame (k,
         lo, hi, clo, chi, mark) rolls the union-find back to mark, keeps
@@ -367,19 +411,17 @@ class _Search:
         each event is contracted O(log |E|) times per prefix rather than
         once per leaf. A part whose contraction is refused is skipped whole.
         """
-        free, forced = self.free, self.forced_event
+        free, forced = self.free, self.forced
         n, trail = len(free), self.uf_trail
         base = len(trail)
-        if forced is not None:
-            if not count:
-                # no subset without the row's event solves the row
-                return
-            count -= 1
+        if count < len(forced):
+            # no subset without every forced event solves the row
+            return
+        count -= len(forced)
         if not count:
             # every free event nop
             if not n or self._contract_range(0, n):
-                yield from self._assignments(
-                    [] if forced is None else [forced])
+                yield from self._assignments(forced)
             self._rollback_uf(base)
             return
         last = count - 1
@@ -405,8 +447,8 @@ class _Search:
                 stack.append((k, lo, mid, mid, hi, mark))
             else:
                 chosen.append(free[lo])
-                if forced is not None:
-                    yield from self._assignments(sorted([*chosen, forced]))
+                if forced:
+                    yield from self._assignments(sorted([*chosen, *forced]))
                 elif index is None or index.may_solve(self, chosen):
                     yield from self._assignments(chosen)
         self._rollback_uf(base)
@@ -694,12 +736,13 @@ def solve_atom(
     return None if found is None else search.region(found)
 
 
-def _row_finds(ts: TransitionSystem, net_type: frozenset[str], d: int,
-               row: _Hit, start: int = 0) -> list[Candidate]:
+def _row_finds(stream: _Search, row: _Hit, start: int = 0
+               ) -> list[Candidate]:
     """The first solvers in canonical order, among the subsets of at least
-    start events, of the atoms of one row."""
+    start events, of the atoms of one row, searched on the tables of the
+    stream search."""
     kind, i, _ = row
-    search = _Search(ts, net_type, d, row)
+    search = stream.row_search(row)
     finds: list[Candidate] = []
     for cand in search.stream(start):
         mask, chosen, sigs = cand
@@ -880,7 +923,8 @@ def solve_drts(
     the first level where they lie in at most that many, one search per
     open row of either kind (_row_finds), which drops each state from its
     row once it has the state's first solver, gives the finds that are
-    checked in canonical order instead.
+    checked in canonical order instead; those searches share the stream
+    search's tables.
     Once no ssp atom is open, the stream passes a subset to its
     assignment search only if some chosen event's essp row holds a state
     outside every class with a source of that event (_AtomIndex.may_solve):
@@ -910,7 +954,7 @@ def solve_drts(
                 # a find shared by several searches solves nothing the
                 # second time, so the loop below takes it once
                 source = sorted((f for row in rows
-                                 for f in _row_finds(ts, net_type, d, row, c)),
+                                 for f in _row_finds(search, row, c)),
                                 key=search.rank)
             else:
                 source = search._subset_dfs(c, index)

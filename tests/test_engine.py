@@ -460,8 +460,8 @@ def switch_of(ts, net_type, d):
     with mock.patch.object(engine, "_row_finds",
                            wraps=engine._row_finds) as spy:
         outcome = b.solve_drts(ts, net_type, d)
-    rows = [call.args[3] for call in spy.call_args_list]
-    starts = {call.args[4] for call in spy.call_args_list}
+    rows = [call.args[1] for call in spy.call_args_list]
+    starts = {call.args[2] for call in spy.call_args_list}
     return outcome, (len(rows), sum(bits.bit_count() for *_, bits in rows),
                      starts)
 
@@ -659,9 +659,11 @@ def test_leaf_check_effort_is_pinned():
 
 
 def test_row_search_effort_is_pinned(demo_hs):
-    # the alpha query at kappa 1 and d=5: the contractions made and the
-    # subsets reaching the assignment search. The essp row's event is
-    # chosen in every subset, so no prefix without it is walked.
+    # the alpha query at kappa 1 and d=5: the contractions made, the set-up's
+    # test of single events among them, and the subsets reaching the
+    # assignment search. The essp row's event, and each event whose forest
+    # alone rules the row out, is chosen in every subset, so no prefix
+    # without it is walked.
     triangle = b.build_hs_instance(["X1", "X2", "X3"], [["X1", "X2"],
                                    ["X2", "X3"], ["X1", "X3"]], 1)
     demo = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 1)
@@ -673,13 +675,13 @@ def test_row_search_effort_is_pinned(demo_hs):
                 count_assignments() as subsets:
             found = b.solve_atom(art.ts, art.default_type, art.d, art.alpha)
         got.append((art.d, found, spy.call_count, subsets.call_count))
-    assert got == [(5, None, 4_107, 352), (5, None, 7_168, 200)]
+    assert got == [(5, None, 677, 352), (5, None, 6_942, 200)]
 
 
 def test_row_search_edges_walked_are_pinned(demo_hs):
     # the edges _contract_range walks on the same alpha queries, and on
     # demo 1.2: each event's spanning forest, without the self-loops of 1.2
-    # and the two-cycles of 1.3 (every edge: 4,670, 41,316 and 53,484)
+    # and the two-cycles of 1.3 (every edge: 2,481, 4,863 and 50,312)
     triangle = b.build_hs_instance(["X1", "X2", "X3"], [["X1", "X2"],
                                    ["X2", "X3"], ["X1", "X3"]], 1)
     demo = b.build_hs_instance(demo_hs.universe, demo_hs.sets, 1)
@@ -697,7 +699,7 @@ def test_row_search_edges_walked_are_pinned(demo_hs):
         with mock.patch.object(_Search, "_contract_range", counted):
             found = b.solve_atom(art.ts, art.default_type, art.d, art.alpha)
         got.append((art.d, found, walked[0]))
-    assert got == [(5, None, 2_214), (5, None, 24_439), (5, None, 53_484)]
+    assert got == [(5, None, 1_180), (5, None, 2_826), (5, None, 50_312)]
 
 
 def test_row_search_unions_made_are_pinned(demo_hs):
@@ -722,7 +724,7 @@ def test_row_search_unions_made_are_pinned(demo_hs):
         with mock.patch.object(_Search, "_rollback_uf", counted):
             found = b.solve_atom(art.ts, art.default_type, art.d, art.alpha)
         got.append((art.d, found, undone[0]))
-    assert got == [(5, None, 2_214), (5, None, 24_439), (5, None, 34_093)]
+    assert got == [(5, None, 1_180), (5, None, 2_826), (5, None, 32_324)]
 
 
 def test_a_source_and_target_state_rules_out_the_row():
@@ -1267,7 +1269,7 @@ def assert_rows_match_first_solver(ts, net_type, d):
             atoms = list(index.atoms(row))
             for start in range(d + 2):
                 got = {}
-                for cand in engine._row_finds(ts, net_type, d, row, start):
+                for cand in engine._row_finds(search, row, start):
                     region = search.region(cand)
                     new = [a for a in atoms if a not in got and
                            b.region_solves(region, net_type, a)]
@@ -1305,8 +1307,9 @@ def test_demo_row_finds_match_the_atom_searches(demo_hs):
             b.solve_drts(art.ts, art.default_type, art.d)
         assert spy.call_args_list, construction
         index = engine._AtomIndex(art.ts)
+        ts, net_type, d = art.ts, art.default_type, art.d
         for call in spy.call_args_list:
-            ts, net_type, d, row, start = call.args
+            _, row, start = call.args
             kind, i, bits = row
             finds = engine._row_finds(*call.args)
             first = {}
@@ -1585,7 +1588,12 @@ def test_random_forests_match_full_edges(ts, net_type, d):
 class ScanSearch(_Search):
     """A search that refuses a class holding a source and a target of an
     inp/out row's event only once the whole range is contracted, by a scan
-    of the event's sources: the reference for the refusal at the union."""
+    of the event's sources: the reference for the refusal at the union.
+    The set-up tests each event alone before the scan is set, so those
+    tests refuse at the union, as _Search's do."""
+
+    sources: list[int] = []
+    targets = 0
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -1665,6 +1673,91 @@ def test_union_refusal_matches_the_scan():
 @settings(max_examples=100, deadline=None)
 def test_random_union_refusal_matches_the_scan(ts, net_type, d):
     assert_union_refusal_matches_the_scan(ts, net_type, d, [])
+
+
+# -- events whose forests alone rule a row out, chosen in every subset ---------
+
+class OwnEventSearch(_Search):
+    """A row search that forces only an essp row's own event and chooses
+    among all the others: the reference for the events forced by their
+    forests, which it contracts and refuses instead."""
+
+    def _set_row(self, row):
+        super()._set_row(row)
+        self.forced = [] if self.forced_event is None else [self.forced_event]
+        self.free = [e for e in range(self.n_events) if e not in self.forced]
+        self.free_edges = [self.forests[e] for e in self.free]
+
+
+def rows_and_states(ts, parts=True):
+    """Every open ssp and essp row of the TS, whole and, with parts, each of
+    its states alone."""
+    for kind, i, full in engine._AtomIndex(ts).open_rows():
+        yield kind, i, full
+        if parts and full & full - 1:
+            for s in range(full.bit_length()):
+                if full >> s & 1:
+                    yield kind, i, 1 << s
+
+
+def assert_forced_events_match_the_own_event(ts, net_type, d, parts=True):
+    """Each row's search against OwnEventSearch's: the same leaf_yields and
+    the same _row_finds from every start level, and on each one-state row
+    solve_atom's rank is the reference's. Returns how many events were
+    forced beyond the rows' own."""
+    stream, own = _Search(ts, net_type, d), OwnEventSearch(ts, net_type, d)
+    index = engine._AtomIndex(ts)
+    extra = 0
+    for row in rows_and_states(ts, parts):
+        search = stream.row_search(row)
+        extra += len(search.forced) - (row[0] == engine._ESSP)
+        case = (sorted(net_type), d, row)
+        assert leaf_yields(search) == leaf_yields(own.row_search(row)), case
+        for start in range(d + 2):
+            assert (engine._row_finds(stream, row, start) ==
+                    engine._row_finds(own, row, start)), (*case, start)
+        if row[2] & row[2] - 1 == 0:
+            (atom,) = index.atoms(row)
+            stats = b.EnumerationStats()
+            b.solve_atom(ts, net_type, d, atom, stats)
+            ref = own.row_search(row)
+            assert stats.candidates_examined == ref.rank(
+                next(ref.stream(), None)), case
+    return extra
+
+
+def test_forced_events_match_the_own_event():
+    extra = 0
+    for ts in overlap_systems():
+        for net_type in ROW_LEAF_TYPES:
+            for d in range(len(ts.events) + 1):
+                extra += assert_forced_events_match_the_own_event(
+                    ts, net_type, d)
+    assert extra
+    inst = b.build_hs_instance(["X1", "X2"], [["X1", "X2"]], 1)
+    for construction, forced in (("1.1", ["k", "o"]),
+                                 ("1.2", ["k", "o1", "o2"]),
+                                 ("1.3", ["k", "o1", "o2"]),
+                                 ("1.4", ["k", "o2"])):
+        art = b.reduce_instance(construction, inst)
+        ts, net_type = art.ts, art.default_type
+        for d in range(3):
+            # hundreds of one-state rows: those at d=1 only
+            assert_forced_events_match_the_own_event(ts, net_type, d,
+                                                     parts=d == 1)
+        # the alpha query, whose row forces one or two events beyond k
+        row = engine._atom_row(ts, art.alpha)
+        search = _Search(ts, net_type, art.d, row)
+        assert [ts.events[e] for e in search.forced] == forced, construction
+        ref = OwnEventSearch(ts, net_type, art.d, row)
+        assert leaf_yields(search) == leaf_yields(ref), construction
+
+
+@given(small_ts(), st.frozensets(st.sampled_from(INTERACTION_ORDER),
+                                 min_size=1), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_random_forced_events_match_the_own_event(ts, net_type, d):
+    assert_forced_events_match_the_own_event(ts, net_type, d)
 
 
 # -- the bitmask assignment kernel against the dict/watch-list search -----------
